@@ -7,6 +7,7 @@ exceptional module set, and the count of extensions with a given conductor.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -234,6 +235,14 @@ def conductor_count(model: FieldModel, group: GroupSpec, module: DivisorModule) 
         return _as_nonneg_int(
             group.quotient_count(model.clp_order), "trivial conductor"
         )
+    used = Counter(place.degree for place in module.support())
+    available = model.place_counts(max(used))
+    for d, n in used.items():
+        if n > available[d - 1]:
+            raise ModelError(
+                f"module {module} uses {n} places of degree {d}, but the "
+                f"field has {available[d - 1]}"
+            )
     threshold = 2 * model.genus - 2
     small = module.restrict(lambda p, m: p.degree <= threshold)
     large = module.restrict(lambda p, m: p.degree > threshold)

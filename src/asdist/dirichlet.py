@@ -7,7 +7,6 @@ contributes q^{d u} t^{d v}; `prime_term` owns that mapping.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -17,7 +16,7 @@ import mpmath
 from .counting import GroupSpec, exceptional_modules, product_count, wild_exponent
 from .errors import ConsistencyError, ModelError, PrecisionError, UnsupportedInputError
 from .field import FieldModel
-from .series import TruncatedSeries, geometric
+from .series import TruncatedSeries, euler_product, mul as poly_mul, subst_monomial
 
 
 def prime_term(q: int, d: int, u: int, v: int) -> tuple:
@@ -28,23 +27,11 @@ def prime_term(q: int, d: int, u: int, v: int) -> tuple:
 # ---------------------------------------------------------------------------
 # integer polynomials in t (ascending coefficients)
 
-def poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def poly_subst(a, scale: int, power: int):
-    """a(scale * t^power) as an integer polynomial."""
-    out = [0] * ((len(a) - 1) * power + 1)
-    acc = 1
-    for i, c in enumerate(a):
-        out[i * power] = c * acc
-        acc *= scale
+def _one_plus(terms) -> list:
+    """Coefficients of 1 + sum c t^w over the monomials (w, c) in terms."""
+    out = [1] + [0] * max(w for w, _ in terms)
+    for w, c in terms:
+        out[w] += c
     return out
 
 
@@ -80,19 +67,17 @@ class RationalFunctionT:
 
     def times(self, other: "RationalFunctionT") -> "RationalFunctionT":
         return RationalFunctionT(
-            tuple(poly_mul(list(self.numerator), list(other.numerator))),
-            tuple(poly_mul(list(self.denominator), list(other.denominator))),
+            poly_mul(self.numerator, other.numerator),
+            poly_mul(self.denominator, other.denominator),
         )
 
     def series(self, order: int) -> TruncatedSeries:
-        num = TruncatedSeries.from_coeffs(self.numerator, order)
-        den = TruncatedSeries.from_coeffs(self.denominator, order)
-        return num.mul(den.inv())
+        inverse = euler_product([(self.denominator, -1)], order)
+        return TruncatedSeries(poly_mul(self.numerator, inverse, order))
 
     def inverse_series(self, order: int) -> TruncatedSeries:
-        den = TruncatedSeries.from_coeffs(self.denominator, order)
-        num = TruncatedSeries.from_coeffs(self.numerator, order)
-        return den.mul(num.inv())
+        inverse = euler_product([(self.numerator, -1)], order)
+        return TruncatedSeries(poly_mul(self.denominator, inverse, order))
 
     def evaluate(self, point):
         num = mpmath.polyval(list(reversed(self.numerator)), point)
@@ -103,18 +88,16 @@ class RationalFunctionT:
 # ---------------------------------------------------------------------------
 # Euler products
 
-def _euler_factor_component(q: int, d: int, i: int, p: int, order: int) -> TruncatedSeries:
-    """Per-prime factor 1 + (N^i - 1) sum_{p not | n} N^{i r_n - (n+1) s}."""
-    coeffs = [Fraction(0)] * (order + 1)
-    coeffs[0] = Fraction(1)
+def _euler_factor_component(q: int, d: int, i: int, p: int, order: int) -> list:
+    """Coefficients of the per-prime factor
+    1 + (N^i - 1) sum_{p not | n} N^{i r_n - (n+1) s}."""
+    coeffs = [1] + [0] * order
     n_i = q ** (d * i)
-    n = 1
-    while d * (n + 1) <= order:
+    for n in range(1, order // d):  # the terms with d (n + 1) <= order
         if n % p != 0:
             power, coeff = prime_term(q, d, i * wild_exponent(n, p), n + 1)
-            coeffs[power] += Fraction((n_i - 1) * coeff)
-        n += 1
-    return TruncatedSeries(tuple(coeffs))
+            coeffs[power] += (n_i - 1) * coeff
+    return coeffs
 
 
 def euler_component_series(
@@ -124,14 +107,12 @@ def euler_component_series(
     if not 1 <= i <= group.r:
         raise ModelError(f"component index {i} out of range 1..{group.r}")
     counts = model.place_counts(order) if order >= 1 else []
-    result = TruncatedSeries.one(order)
-    for d in range(1, order + 1):
-        b_d = counts[d - 1]
-        if b_d == 0 or 2 * d > order:
-            continue
-        factor = _euler_factor_component(model.q, d, i, model.p, order)
-        result = result.mul(factor.pow(b_d))
-    return result
+    factors = [
+        (_euler_factor_component(model.q, d, i, model.p, order), b_d)
+        for d, b_d in enumerate(counts, start=1)
+        if 2 * d <= order
+    ]
+    return TruncatedSeries(euler_product(factors, order))
 
 
 def error_term_series(model: FieldModel, group: GroupSpec, order: int) -> TruncatedSeries:
@@ -142,18 +123,14 @@ def error_term_series(model: FieldModel, group: GroupSpec, order: int) -> Trunca
     # sum below re-adds its c~ term, so the standalone constant reduces to e_0
     const = group.e_coeffs[0]
     # restricted product over primes of degree > 2g-2 of (1 - N^{-2s})
-    # = zeta(2s)^{-1} corrected by the finitely many small-degree primes
-    inv_zeta_2s = model.zeta_series(order).inv().subst_monomial(1, 2)
-    correction = TruncatedSeries.one(order)
+    # = zeta(2s)^{-1} = (1 - t^2)(1 - q t^2) / L(t^2), corrected by the
+    # finitely many small-degree primes
     threshold = 2 * model.genus - 2
-    if threshold >= 1:
-        counts = model.place_counts(threshold)
-        for d in range(1, threshold + 1):
-            if 2 * d > order:
-                break
-            factor = TruncatedSeries.monomial(-1, 2 * d, order) + 1
-            correction = correction.mul(factor.pow(-counts[d - 1]))
-    restricted = inv_zeta_2s.mul(correction)
+    counts = model.place_counts(threshold) if threshold >= 1 else []
+    inv_zeta_2s = [(subst_monomial(model.l_poly, 1, 2), -1),
+                   (_one_plus([(2, -1)]), 1), (_one_plus([(2, -model.q)]), 1)]
+    small = [(_one_plus([(2 * d, -1)]), -b_d) for d, b_d in enumerate(counts, start=1)]
+    restricted = euler_product(inv_zeta_2s + small, order)
     poly = TruncatedSeries.zero(order)
     counts_map = model.exceptional_count_map()
     for module in sorted(exceptional_modules(model), key=lambda m: (m.degree, repr(m))):
@@ -167,7 +144,7 @@ def error_term_series(model: FieldModel, group: GroupSpec, order: int) -> Trunca
             c_tilde = Fraction(counts_map[module]) - product_count(model, group, module)
         if module.degree <= order:
             poly = poly + TruncatedSeries.monomial(c_tilde, module.degree, order)
-    return const + poly.mul(restricted)
+    return const + poly.mul(TruncatedSeries(restricted))
 
 
 def conductor_series(model: FieldModel, group: GroupSpec, order: int) -> TruncatedSeries:
@@ -196,21 +173,16 @@ def zeta_factor_rational(model: FieldModel, p: int, r: int) -> RationalFunctionT
     den = [1]
     for l in range(2, p + 1):
         c = model.q ** ((l - 1) * r)
-        num = poly_mul(num, poly_subst(list(model.l_poly), c, l))
-        den = poly_mul(den, [1] + [0] * (l - 1) + [-c])
-        den = poly_mul(den, [1] + [0] * (l - 1) + [-c * model.q])
+        num = poly_mul(num, subst_monomial(model.l_poly, c, l))
+        den = poly_mul(den, _one_plus([(l, -c)]))
+        den = poly_mul(den, _one_plus([(l, -c * model.q)]))
     return RationalFunctionT(tuple(num), tuple(den))
 
 
 def _holomorphic_factor_terms(q: int, d: int, p: int, r: int):
-    """Exact t-monomials of the two parts of the per-prime holomorphic factor."""
-    plus = [(0, 1)]
-    for l in range(0, p - 1):
-        plus.append(prime_term(q, d, l * r, l + 1))
-    minus = []
-    for l in range(0, p - 1):
-        minus.append(prime_term(q, d, l * r, l + 1))
-    return plus, minus
+    """The (t-power, coefficient) monomials m of the per-prime holomorphic
+    factor (1 + sum m) * prod (1 - m), in increasing t-power."""
+    return [prime_term(q, d, l * r, l + 1) for l in range(p - 1)]
 
 
 def holomorphic_factor_series(
@@ -218,24 +190,12 @@ def holomorphic_factor_series(
 ) -> TruncatedSeries:
     """Truncated series of the holomorphic factor of the factorization."""
     counts = model.place_counts(order) if order >= 1 else []
-    result = TruncatedSeries.one(order)
-    for d in range(1, order + 1):
-        if d > order:
-            break
-        b_d = counts[d - 1]
-        if b_d == 0:
-            continue
-        plus, minus = _holomorphic_factor_terms(model.q, d, p, r)
-        factor = TruncatedSeries.zero(order)
-        for power, coeff in plus:
-            if power <= order:
-                factor = factor + TruncatedSeries.monomial(coeff, power, order)
-        for power, coeff in minus:
-            factor = factor.mul(1 - TruncatedSeries.monomial(coeff, power, order))
-        if factor == TruncatedSeries.one(order):
-            continue
-        result = result.mul(factor.pow(b_d))
-    return result
+    factors = []
+    for d, b_d in enumerate(counts, start=1):
+        terms = _holomorphic_factor_terms(model.q, d, p, r)
+        factors.append((_one_plus(terms), b_d))
+        factors += [(_one_plus([(w, -c)]), b_d) for w, c in terms]
+    return TruncatedSeries(euler_product(factors, order))
 
 
 def holomorphic_factor_value(
@@ -251,11 +211,11 @@ def holomorphic_factor_value(
             b_d = counts[d - 1]
             if b_d == 0:
                 continue
-            plus, minus = _holomorphic_factor_terms(model.q, d, p, r)
-            factor = mpmath.mpf(0)
-            for power, coeff in plus:
+            terms = _holomorphic_factor_terms(model.q, d, p, r)
+            factor = mpmath.mpf(1)
+            for power, coeff in terms:
                 factor += coeff * z**power
-            for power, coeff in minus:
+            for power, coeff in terms:
                 factor *= 1 - coeff * z**power
             total *= factor**b_d
         return total
@@ -303,16 +263,13 @@ def euler_factor_closed_form_check(
 ) -> bool:
     """Check that the direct sum form of the top Euler factor equals its
     closed meromorphic form as truncated series."""
-    direct = _euler_factor_component(q, d, r, p, order)
     power, coeff = prime_term(q, d, (p - 1) * r, p)
-    closed = (1 - TruncatedSeries.monomial(coeff, power, order)).inv()
-    plus = TruncatedSeries.one(order)
-    for l in range(0, p - 1):
-        pw, cf = prime_term(q, d, l * r, l + 1)
-        plus = plus + TruncatedSeries.monomial(cf, pw, order)
-    closed = closed.mul(plus)
-    closed = closed.mul(1 - TruncatedSeries.monomial(1, d, order))
-    return direct == closed
+    closed = euler_product(
+        [(_one_plus([(power, -coeff)]), -1), (_one_plus([(d, -1)]), 1),
+         (_one_plus(_holomorphic_factor_terms(q, d, p, r)), 1)],
+        order,
+    )
+    return _euler_factor_component(q, d, r, p, order) == closed
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .errors import ModelError
-from .series import TruncatedSeries, geometric
+from .series import TruncatedSeries, euler_product
 
 VALIDATION_DEPTH = 12
 
@@ -101,11 +101,8 @@ class FieldModel:
 
     def zeta_series(self, order: int) -> TruncatedSeries:
         """Expansion of L(t) / ((1 - t)(1 - q t)) to the given order."""
-        return (
-            self.l_series(order)
-            .mul(geometric(1, order))
-            .mul(geometric(self.q, order))
-        )
+        factors = [(self.l_poly, 1), ([1, -1], -1), ([1, -self.q], -1)]
+        return TruncatedSeries(euler_product(factors, order))
 
     def zeta_value(self, k: int) -> Fraction:
         """Exact value of the zeta function at the integer argument k >= 2,
@@ -149,7 +146,8 @@ def make_field_model(
 
     Checks: q is a power of the prime p, the L-polynomial satisfies the
     functional equation, derived place counts are nonnegative integers, and
-    |Cl[p]| is a p-power.  Genus 0 forces L = 1 and trivial class group.
+    |Cl[p]| is a p-power dividing L(1) and at most p^genus.  Genus 0 forces
+    L = 1 and trivial class group.
     """
     if not is_prime(p):
         raise ModelError(f"{p} is not prime")
@@ -177,8 +175,14 @@ def make_field_model(
             raise ModelError("L-polynomial violates the functional equation")
     if clp_order < 1 or _prime_power_exponent(clp_order, p) is None and clp_order != 1:
         raise ModelError("clp_order must be a power of p (including 1)")
-    if sum(coeffs) < 1:
+    class_number = sum(coeffs)
+    if class_number < 1:
         raise ModelError("class number L(1) must be positive")
+    if class_number % clp_order or clp_order > p**genus:
+        raise ModelError(
+            f"clp_order {clp_order} must divide L(1) = {class_number} "
+            f"and be at most p^genus = {p**genus}"
+        )
     exc = None
     if exceptional_counts is not None:
         exc = frozenset((m, int(c)) for m, c in dict(exceptional_counts).items())

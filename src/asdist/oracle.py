@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .counting import DivisorModule, Place
-from .errors import BudgetExceededError, ModelError
+from .errors import BudgetExceededError, ConsistencyError, ModelError
 from .field import is_prime, _prime_power_exponent
 
 DEFAULT_BUDGET = 10**7
@@ -445,7 +445,7 @@ def oracle_counts(
             counts[cond] = counts.get(cond, 0) + 1
         bad = [m for m, c in counts.items() if c % (p - 1)]
         if bad:
-            raise BudgetExceededError(  # pragma: no cover
+            raise ConsistencyError(
                 "class orbits did not split evenly; enumeration is inconsistent"
             )
         return {m: c // (p - 1) for m, c in counts.items()}

@@ -1,30 +1,118 @@
-"""Truncated power series with exact rational coefficients.
+"""Exact truncated power series over an integer-first kernel.
 
-A series is stored as its coefficients 0..order (inclusive).  All operations
-are exact; mixed-order operands truncate to the shorter one.  Values are
-immutable and safe to share.
+The kernel works on plain coefficient lists (ascending degree) with two
+primitives: the Cauchy product `mul` and the Euler product `euler_product`.
+Integer inputs stay Python ints end to end; every division is exact and
+checked, so `Fraction` appears only where a result is not integral.
+
+`TruncatedSeries` is the public value type over that kernel: it stores its
+coefficients 0..order (inclusive), integral ones as int.  Mixed-order
+operations truncate to the shorter operand.  Values are immutable and safe
+to share.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import gcd
 from typing import Iterable, Sequence, Union
+
+from .errors import ConsistencyError
 
 Scalar = Union[int, Fraction]
 
 
+def _exact(c) -> Scalar:
+    """c as an int when integral, otherwise as a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _divide(a: Scalar, n: int) -> Scalar:
+    """a / n; an int stays an int, and must then divide exactly."""
+    if type(a) is int:
+        quotient, remainder = divmod(a, n)
+        if remainder:
+            raise ConsistencyError(f"{a} is not divisible by {n}")
+        return quotient
+    return a / n
+
+
+def _stride(coeffs: Sequence) -> int:
+    """The w with coeffs a series in t^w: the gcd of the exponents of its
+    non-constant terms, or its length when it has none."""
+    return gcd(*(k for k, x in enumerate(coeffs) if k and x)) or len(coeffs)
+
+
+def mul(a: Sequence, b: Sequence, order: int | None = None) -> list:
+    """Product of two coefficient lists, truncated after t^order when given."""
+    size = len(a) + len(b) - 1 if order is None else order + 1
+    out = [0] * size
+    for i, x in enumerate(a[:size]):
+        if x:
+            for j, y in enumerate(b[: size - i]):
+                out[i + j] += x * y
+    return out
+
+
+def subst_monomial(a: Sequence, scale: Scalar, power: int, order: int | None = None) -> list:
+    """a(scale * t^power), truncated after t^order when given."""
+    if power < 1:
+        raise ValueError("substitution power must be >= 1")
+    size = (len(a) - 1) * power + 1 if order is None else order + 1
+    out = [0] * size
+    acc = 1
+    for i, c in enumerate(a[: (size - 1) // power + 1]):
+        out[i * power] = c * acc
+        acc *= scale
+    return out
+
+
+def euler_product(factors: Iterable, order: int) -> list:
+    """prod F**e over the (F, e) in `factors`, truncated after t^order.
+
+    Each F is a coefficient list with nonzero constant term and each e any
+    integer.  With every F scaled to constant term 1, the log-derivative
+    g = sum e tF'/F gives the product P through n P_n = sum_k g_k P_{n-k}
+    (Brent-Kung 1978), so the cost does not grow with e.  A series in t^w is
+    solved on the multiples of w only.
+    """
+    g = [0] * (order + 1)
+    scale = 1
+    for coeffs, e in factors:
+        if e == 0:
+            continue
+        f = list(coeffs[: order + 1]) + [0] * (order + 1 - len(coeffs))
+        c = f[0]
+        if c == 0:
+            raise ValueError("not invertible as power series")
+        if c != 1:
+            scale *= Fraction(c) ** e
+            f = [_exact(Fraction(x) / c) for x in f]
+        w = _stride(f)
+        h = [0] * (order + 1)  # tF'/F, from F h = tF' with F_0 = 1
+        for n in range(w, order + 1, w):
+            h[n] = n * f[n] - sum(f[k] * h[n - k] for k in range(w, n + 1, w))
+            g[n] += e * h[n]
+    out = [1] + [0] * order
+    w = _stride(g)
+    for n in range(w, order + 1, w):
+        out[n] = _divide(sum(g[k] * out[n - k] for k in range(w, n + 1, w)), n)
+    if scale != 1:
+        out = [_exact(scale * x) for x in out]
+    return out
+
+
 @dataclass(frozen=True)
 class TruncatedSeries:
-    coeffs: tuple  # Fraction, length order + 1
+    coeffs: tuple  # int or Fraction, length order + 1
 
     def __post_init__(self):
         if not self.coeffs:
             raise ValueError("a truncated series needs at least the constant term")
-        if not all(isinstance(c, Fraction) for c in self.coeffs):
-            object.__setattr__(
-                self, "coeffs", tuple(Fraction(c) for c in self.coeffs)
-            )
+        object.__setattr__(self, "coeffs", tuple(_exact(c) for c in self.coeffs))
 
     @property
     def order(self) -> int:
@@ -32,17 +120,15 @@ class TruncatedSeries:
 
     @staticmethod
     def from_coeffs(coeffs: Iterable[Scalar], order: int | None = None) -> "TruncatedSeries":
-        cs = [Fraction(c) for c in coeffs]
+        cs = list(coeffs)
         if order is not None:
             cs = cs[: order + 1]
-            cs += [Fraction(0)] * (order + 1 - len(cs))
+            cs += [0] * (order + 1 - len(cs))
         return TruncatedSeries(tuple(cs))
 
     @staticmethod
     def constant(value: Scalar, order: int) -> "TruncatedSeries":
-        cs = [Fraction(0)] * (order + 1)
-        cs[0] = Fraction(value)
-        return TruncatedSeries(tuple(cs))
+        return TruncatedSeries.monomial(value, 0, order)
 
     @staticmethod
     def one(order: int) -> "TruncatedSeries":
@@ -54,12 +140,12 @@ class TruncatedSeries:
 
     @staticmethod
     def monomial(coeff: Scalar, power: int, order: int) -> "TruncatedSeries":
-        cs = [Fraction(0)] * (order + 1)
+        cs = [0] * (order + 1)
         if power <= order:
-            cs[power] = Fraction(coeff)
+            cs[power] = coeff
         return TruncatedSeries(tuple(cs))
 
-    def coeff(self, n: int) -> Fraction:
+    def coeff(self, n: int) -> Scalar:
         if n < 0 or n > self.order:
             raise IndexError(f"coefficient {n} outside stored order {self.order}")
         return self.coeffs[n]
@@ -96,22 +182,11 @@ class TruncatedSeries:
         return (-self) + other
 
     def scale(self, factor: Scalar) -> "TruncatedSeries":
-        f = Fraction(factor)
-        return TruncatedSeries(tuple(c * f for c in self.coeffs))
+        return TruncatedSeries(tuple(c * factor for c in self.coeffs))
 
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Cauchy product truncated at the smaller operand order."""
-        m = self._common(other)
-        a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (m + 1)
-        for i in range(min(len(a), m + 1)):
-            ai = a[i]
-            if ai == 0:
-                continue
-            for j in range(min(len(b), m + 1 - i)):
-                if b[j]:
-                    out[i + j] += ai * b[j]
-        return TruncatedSeries(tuple(out))
+        return TruncatedSeries(mul(self.coeffs, other.coeffs, self._common(other)))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -122,34 +197,11 @@ class TruncatedSeries:
 
     def inv(self) -> "TruncatedSeries":
         """Multiplicative inverse up to the truncation order."""
-        a = self.coeffs
-        if a[0] == 0:
-            raise ValueError("not invertible as power series")
-        m = self.order
-        b = [Fraction(0)] * (m + 1)
-        b[0] = 1 / a[0]
-        for n in range(1, m + 1):
-            s = Fraction(0)
-            for k in range(1, n + 1):
-                if a[k]:
-                    s += a[k] * b[n - k]
-            b[n] = -s / a[0]
-        return TruncatedSeries(tuple(b))
+        return TruncatedSeries(euler_product([(self.coeffs, -1)], self.order))
 
     def subst_monomial(self, scale: Scalar, power: int) -> "TruncatedSeries":
         """Substitute t -> scale * t^power; truncation order is preserved."""
-        if power < 1:
-            raise ValueError("substitution power must be >= 1")
-        s = Fraction(scale)
-        m = self.order
-        out = [Fraction(0)] * (m + 1)
-        acc = Fraction(1)
-        for n in range(m + 1):
-            if n * power > m:
-                break
-            out[n * power] = self.coeffs[n] * acc
-            acc *= s
-        return TruncatedSeries(tuple(out))
+        return TruncatedSeries(subst_monomial(self.coeffs, scale, power, self.order))
 
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, or None for the zero series."""
@@ -159,39 +211,17 @@ class TruncatedSeries:
         return None
 
     def pow(self, exponent: int) -> "TruncatedSeries":
-        """Integer power; negative exponents invert first.
-
-        For series 1 + x with val(x) >= 1 the binomial expansion is used, so
-        huge exponents (Euler factors raised to place counts) stay cheap.
-        """
-        if exponent < 0:
-            return self.inv().pow(-exponent)
+        """Integer power.  A zero constant term is shifted out by the
+        valuation; negative exponents need a nonzero constant term."""
         m = self.order
-        if exponent == 0:
-            return TruncatedSeries.one(m)
-        if self.coeffs[0] == 1:
-            x = self - 1
-            v = x.valuation()
-            if v is None:
-                return TruncatedSeries.one(m)
-            if v >= 1:
-                out = TruncatedSeries.one(m)
-                xk = TruncatedSeries.one(m)
-                for k in range(1, m // v + 1):
-                    if k > exponent:
-                        break
-                    xk = xk.mul(x)
-                    out = out + xk.scale(comb(exponent, k))
-                return out
-        result = TruncatedSeries.one(m)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result.mul(base)
-            base = base.mul(base)
-            e >>= 1
-        return result
+        v = self.valuation()
+        if exponent > 0 and v != 0:
+            if v is None or v * exponent > m:
+                return TruncatedSeries.zero(m)
+            shift = v * exponent
+            body = euler_product([(self.coeffs[v:], exponent)], m - shift)
+            return TruncatedSeries((0,) * shift + tuple(body))
+        return TruncatedSeries(euler_product([(self.coeffs, exponent)], m))
 
     def __pow__(self, exponent: int):
         return self.pow(exponent)
@@ -205,8 +235,8 @@ class TruncatedSeries:
     def evaluate(self, point, convert=None):
         """Evaluate the truncated polynomial at a numeric point (Horner).
 
-        `convert` maps each Fraction coefficient into the point's arithmetic
-        (e.g. to mpf); by default coefficients are used as-is.
+        `convert` maps each coefficient into the point's arithmetic (e.g. to
+        mpf); by default coefficients are used as-is.
         """
         acc = 0 * point
         for c in reversed(self.coeffs):
@@ -224,9 +254,8 @@ class TruncatedSeries:
 
 def geometric(ratio: Scalar, order: int) -> TruncatedSeries:
     """Series of 1/(1 - ratio * t)."""
-    r = Fraction(ratio)
-    cs, acc = [], Fraction(1)
+    cs, acc = [], 1
     for _ in range(order + 1):
         cs.append(acc)
-        acc *= r
+        acc *= ratio
     return TruncatedSeries(tuple(cs))

@@ -9,7 +9,7 @@ two regimes where they are handy (p = 2, any rank; rank 1, odd p).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import mpmath
@@ -23,7 +23,7 @@ from .dirichlet import (
     pole_analysis,
     zeta_factor_rational,
 )
-from .errors import PrecisionError, UnsupportedInputError
+from .errors import ConsistencyError, PrecisionError, UnsupportedInputError
 from .field import FieldModel
 from .series import TruncatedSeries
 
@@ -103,22 +103,6 @@ def _to_mpc(value, dps):
     return mpmath.mpc(sympy.re(sympy.N(value, dps)), sympy.im(sympy.N(value, dps)))
 
 
-def _poly_derivative(coeffs, times):
-    cs = list(coeffs)
-    for _ in range(times):
-        cs = [i * c for i, c in enumerate(cs)][1:]
-        if not cs:
-            cs = [0]
-    return cs
-
-
-def _eval_int_poly(coeffs, point):
-    acc = mpmath.mpc(0)
-    for c in reversed(coeffs):
-        acc = acc * point + int(c)
-    return acc
-
-
 def principal_parts(
     f: RationalFunctionT,
     correction=None,
@@ -178,7 +162,8 @@ def principal_parts(
 
         num_coeffs = [int(c) for c in reversed(num.all_coeffs())]
         den_coeffs = [int(c) for c in reversed(den.all_coeffs())]
-        den_deriv = _poly_derivative(den_coeffs, order)
+        den_deriv = [math.perm(i, order) * c for i, c in enumerate(den_coeffs)]
+        den_deriv = den_deriv[order:]
         xi = mpmath.exp(2j * mpmath.pi / root_count)
         coeffs: dict = {}
         exact_coeffs: dict | None = {}
@@ -196,8 +181,8 @@ def principal_parts(
             exact, z, _ = match
             value = (
                 mpmath.factorial(order)
-                * _eval_int_poly(num_coeffs, z)
-                / _eval_int_poly(den_deriv, z)
+                * mpmath.polyval(num_coeffs[::-1], z)
+                / mpmath.polyval(den_deriv[::-1], z)
             )
             if correction is not None:
                 value = value * correction(z)
@@ -391,7 +376,8 @@ def tauberian_constant(
     prec_bits: int = DEFAULT_PREC_BITS,
 ) -> AsymptoticEstimate:
     """Asymptotic constant via generic principal-part extraction from the
-    exact meromorphic factor, corrected by the holomorphic factor."""
+    exact meromorphic factor, corrected by the holomorphic factor.  The
+    exponent and log scale are reported as in `closed_form_constant`."""
     p, r = group.p, group.r
     rational = zeta_factor_rational(model, p, r)
     e_top = group.e_coeffs[r]
@@ -403,7 +389,15 @@ def tauberian_constant(
         )
 
     pole_model = principal_parts(rational, correction=correction, prec_bits=prec_bits)
-    return predict_partial_sums(pole_model, pole_model.root_count)
+    estimate = predict_partial_sums(pole_model, pole_model.root_count)
+    # a pole of order > 1 occurs only for r = 1, where R = 1/q, so the
+    # constant (divided by log(1/R)^(b-1)) agrees with log_scale = log q
+    a = pole_analysis(p, r).abscissa
+    with mpmath.workprec(prec_bits):
+        growth = mpmath.mpf(model.q) ** (mpmath.mpf(a.numerator) / a.denominator)
+        if abs(estimate.growth / growth - 1) > mpmath.mpf(2) ** (-prec_bits // 2):
+            raise ConsistencyError(f"pole growth {estimate.growth} is not q^{a}")
+        return replace(estimate, exponent=a, log_scale=mpmath.log(model.q))
 
 
 def empirical_ratio(series: TruncatedSeries, estimate: AsymptoticEstimate, n: int):

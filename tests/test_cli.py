@@ -113,6 +113,15 @@ def test_model_file_flag(capsys, tmp_path):
     assert out.strip() == "coefficients 3,0,0,0,24"
 
 
+def test_impossible_models_and_modules_exit_2(capsys):
+    code, _, err = run(capsys, "series", "--q", "2", "--p", "2", "--genus", "1",
+                       "--l-poly", "1,0,2", "--clp-order", "4", "--order", "6")
+    assert code == 2 and "clp_order" in err
+    code, _, err = run(capsys, "conductor", "--q", "2", "--p", "2",
+                       "--module", "1.a^2,1.b^2,1.c^2,1.d^2")
+    assert code == 2 and "places of degree 1" in err
+
+
 def test_invalid_input_exit_code(capsys):
     code, _, err = run(capsys, "series", "--q", "6", "--p", "2")
     assert code == 2

@@ -7,6 +7,7 @@ import pytest
 
 from asdist import (
     DivisorModule,
+    ModelError,
     Place,
     UnsupportedInputError,
     conductor_count,
@@ -140,6 +141,20 @@ def test_conductor_count_basic_cases():
     g3 = subgroup_count_poly(3, 1)
     m4 = DivisorModule.from_entries({p1: 4})
     assert conductor_count(rational_field(3), g3, m4) == 0
+
+
+def test_conductor_count_rejects_more_places_than_the_field_has():
+    group = subgroup_count_poly(2, 1)
+    four = DivisorModule.from_entries({Place(1, name): 2 for name in "abcd"})
+    with pytest.raises(ModelError):
+        conductor_count(rational_field(2), group, four)  # F_2(x) has 3
+    three = DivisorModule.from_entries({Place(1, name): 2 for name in "abc"})
+    assert conductor_count(rational_field(2), group, three) == 2
+    with pytest.raises(ModelError):  # F_2(x) has 1 place of degree 2
+        conductor_count(
+            rational_field(2), group,
+            DivisorModule.from_entries({Place(2, "a"): 2, Place(2, "b"): 2}),
+        )
 
 
 def test_conductor_count_trivial_uses_class_group():

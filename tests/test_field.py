@@ -132,6 +132,16 @@ def test_validation_errors():
         make_field_model(2, 2, 1, [1, -4, 2])
 
 
+def test_clp_order_must_divide_class_number_and_fit_p_rank():
+    with pytest.raises(ModelError):
+        make_field_model(2, 2, 1, [1, 0, 2], clp_order=2)  # 2 does not divide 3
+    with pytest.raises(ModelError):
+        make_field_model(2, 4, 1, [1, -1, 4], clp_order=4)  # L(1) = 4 but 4 > 2^1
+    with pytest.raises(ModelError):
+        make_field_model(2, 2, 1, [1, 0, 2], clp_order=4)
+    assert make_field_model(2, 4, 1, [1, -1, 4], clp_order=2).clp_order == 2
+
+
 def test_model_file_roundtrip(tmp_path):
     path = tmp_path / "model.txt"
     path.write_text(

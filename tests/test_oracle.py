@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+import asdist.oracle
 from asdist import (
     BudgetExceededError,
+    ConsistencyError,
     DivisorModule,
     Place,
     conductor_series,
@@ -247,6 +249,20 @@ def test_budget_exceeded():
         enumerate_classes(GF(2, 1), 8, budget=10)
     with pytest.raises(BudgetExceededError):
         oracle_counts(2, 2, 2, 6, budget=100)
+
+
+def test_uneven_orbit_split_is_a_consistency_error(monkeypatch):
+    from asdist.cli import main
+
+    real = asdist.oracle.enumerate_classes
+    # dropping one class leaves an odd number in its conductor's orbits
+    monkeypatch.setattr(
+        asdist.oracle, "enumerate_classes",
+        lambda gf, bound, budget: real(gf, bound, budget)[:-1],
+    )
+    with pytest.raises(ConsistencyError):
+        oracle_counts(3, 3, 1, 3)
+    assert main(["oracle", "--q", "3", "--p", "3", "--bound", "3"]) == 3
 
 
 def test_class_count_sanity_unit_groups():

@@ -5,7 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from asdist import TruncatedSeries, geometric
+from asdist import (
+    TruncatedSeries,
+    euler_component_series,
+    geometric,
+    rational_field,
+    subgroup_count_poly,
+)
+from asdist.series import euler_product, mul
 
 
 def S(*coeffs):
@@ -148,6 +155,86 @@ def test_subst_distributes_over_mul(a, b, power, scale):
     # powers beyond order/power * power fold differently; compare the
     # coefficients both sides can represent
     assert lhs.coeffs[: order + 1] == rhs.coeffs[: order + 1]
+
+
+def _schoolbook_mul(a, b, order):
+    out = [0] * (order + 1)
+    for i in range(order + 1):
+        for j in range(order + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def _schoolbook_power(f, e, order):
+    """f**e truncated: inverse by long division, then square-and-multiply."""
+    f = list(f) + [0] * (order + 1 - len(f))
+    if e < 0:
+        inverse = [Fraction(1, f[0])]
+        for n in range(1, order + 1):
+            s = sum(f[k] * inverse[n - k] for k in range(1, n + 1))
+            inverse.append(-s / f[0])
+        f, e = inverse, -e
+    result, base = [1] + [0] * order, f
+    while e:
+        if e & 1:
+            result = _schoolbook_mul(result, base, order)
+        base = _schoolbook_mul(base, base, order)
+        e >>= 1
+    return result
+
+
+def test_euler_product_matches_schoolbook_on_random_factors():
+    rng = random.Random(1978)
+    for _ in range(150):
+        order = rng.randint(0, 12)
+        factors = []
+        for _ in range(rng.randint(1, 4)):
+            f = [rng.choice((1, -1))]
+            f += [rng.choice((0, 0, rng.randint(-5, 5)))
+                  for _ in range(rng.randint(0, 6))]
+            factors.append((f, rng.choice(list(range(-5, 6)) + [10**9, -(10**9)])))
+        expected = [1] + [0] * order
+        for f, e in factors:
+            power = _schoolbook_power(f, e, order)
+            expected = _schoolbook_mul(expected, power, order)
+        assert euler_product(factors, order) == expected
+
+
+def test_euler_product_scales_out_non_unit_constants():
+    rng = random.Random(2)
+    for _ in range(100):
+        order = rng.randint(0, 8)
+        f = [rng.choice((2, -3, Fraction(1, 2)))]
+        f += [rng.randint(-4, 4) for _ in range(4)]
+        e = rng.randint(-5, 5)
+        assert euler_product([(f, e)], order) == _schoolbook_power(f, e, order)
+
+
+def test_integer_inputs_give_int_coefficients():
+    def ints(coeffs):
+        return all(type(c) is int for c in coeffs)
+
+    f = TruncatedSeries.from_coeffs([1, -3, 0, 7, 2], order=12)
+    assert ints(mul([1, 2, 3], [-1, 0, 5]))
+    assert ints(euler_product([([1, 1, 2], 10**9), ([1, 0, -4], -3)], 20))
+    assert ints(euler_product([([-1, 0, 4], -3)], 20))
+    assert ints(f.inv().coeffs) and ints(f.pow(-7).coeffs)
+    assert ints(f.pow(5).coeffs) and ints(f.mul(f).coeffs)
+    assert ints(f.subst_monomial(3, 2).coeffs)
+    assert ints(TruncatedSeries.from_coeffs([2, 1], order=6).pow(4).coeffs)
+    model, group = rational_field(3), subgroup_count_poly(3, 2)
+    assert ints(euler_component_series(model, group, 2, 30).coeffs)
+
+
+def test_pow_zero_constant_term():
+    f = TruncatedSeries.from_coeffs([0, 1, 1], order=6)
+    # (t + t^2)^3 = t^3 (1 + t)^3
+    assert f.pow(3) == TruncatedSeries.from_coeffs([0, 0, 0, 1, 3, 3, 1])
+    assert f.pow(7) == TruncatedSeries.zero(6)
+    assert f.pow(0) == TruncatedSeries.one(6)
+    assert TruncatedSeries.zero(4).pow(2) == TruncatedSeries.zero(4)
+    with pytest.raises(ValueError, match="not invertible"):
+        f.pow(-1)
 
 
 @given(series_strategy, st.integers(0, 6))

@@ -148,6 +148,19 @@ def test_cross_path_constants_q3():
     assert abs(generic.constant - closed.constant) / closed.constant < 1e-9
 
 
+def test_tauberian_exponent_is_the_abscissa():
+    generic = tauberian_constant(Q3, subgroup_count_poly(3, 2), degree_cutoff=12)
+    assert generic.exponent == Fraction(5, 3)
+    ell = make_field_model(2, 2, 1, [1, 0, 2], clp_order=1)
+    for model, group in [(Q2, C2), (Q2, subgroup_count_poly(2, 2)), (Q3, C3),
+                         (ell, C2)]:
+        closed = closed_form_constant(model, group, degree_cutoff=12)
+        generic = tauberian_constant(model, group, degree_cutoff=12)
+        assert generic.exponent == closed.exponent
+        assert generic.log_scale == closed.log_scale
+        assert abs(generic.log_scale - mpmath.log(model.q)) < 1e-15
+
+
 def test_empirical_ratio_q2():
     series = conductor_series(Q2, C2, 20)
     est = closed_form_constant(Q2, C2)
