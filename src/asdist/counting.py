@@ -206,6 +206,19 @@ def exceptional_modules(model: FieldModel) -> frozenset:
     return frozenset(result)
 
 
+def _is_exceptional(model: FieldModel, module: DivisorModule) -> bool:
+    """Whether the module has the shape of `exceptional_modules(model)`:
+    trivial, or for genus >= 2 multiplicities in 2..2g on places of degree
+    <= 2g - 2.  Read off the module, so any labelling of the places works."""
+    if module.is_trivial:
+        return True
+    genus = model.genus
+    return genus >= 2 and all(
+        2 <= mult <= 2 * genus and place.degree <= 2 * genus - 2
+        for place, mult in module.entries
+    )
+
+
 def product_count(model: FieldModel, group: GroupSpec, module: DivisorModule) -> Fraction:
     """The multiplicative (Selmer-free) count
     sum_i e_i prod_{p^m || m} (N^{i r_m} - N^{i r_{m-1}})."""
@@ -246,8 +259,7 @@ def conductor_count(model: FieldModel, group: GroupSpec, module: DivisorModule) 
     threshold = 2 * model.genus - 2
     small = module.restrict(lambda p, m: p.degree <= threshold)
     large = module.restrict(lambda p, m: p.degree > threshold)
-    exceptional = exceptional_modules(model)
-    if small in exceptional and all(m == 2 for _, m in large.entries):
+    if _is_exceptional(model, small) and all(m == 2 for _, m in large.entries):
         # m = m0 * m1^2 with m0 in the exceptional set, m1 squarefree on
         # large-degree primes.
         m1 = DivisorModule(tuple((p, 1) for p, _ in large.entries))

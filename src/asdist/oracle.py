@@ -7,6 +7,20 @@ F_p-subspaces of that quotient, and the conductor of a subspace is the
 place-wise maximum over its nonzero elements.  Everything here is exhaustive
 enumeration over one concrete finite field; it exists to cross-check the
 analytic counts on small inputs.
+
+The normal form is F_p-linear in fixed slots: the constant i*unit gives one
+coordinate i, a term a_j x^j gives the F_p-components of a_j, and a fraction
+h/P^j the components of each coefficient of h.  Adding classes adds these
+coordinates, and a class's conductor at a place is its top index j there,
+plus one.  For r >= 2 the census encodes each class once as a sparse
+coordinate vector and walks reduced row-echelon bases depth first: the
+pivot (lowest nonzero slot) of each basis vector has coefficient 1, pivots
+increase, and every basis vector is zero at the other pivots.  Each
+subspace has exactly one such basis, and all its elements are enumerated
+classes when its conductor fits the bound, so the walk visits it exactly
+once.  A slot is nonzero somewhere in a span iff it is nonzero in some basis
+vector, so the subspace conductor is the place-wise max over the basis; it
+only grows as vectors are added, which prunes the walk.
 """
 from __future__ import annotations
 
@@ -401,31 +415,96 @@ def enumerate_classes(gf, bound: int, budget: int = DEFAULT_BUDGET) -> list:
     return out
 
 
-def _span(generators, gf, p: int, r: int):
-    """Nonzero elements of the F_p-span, or None if the generators are
-    dependent."""
-    elements = set()
-    for coeffs in itertools.product(range(p), repeat=r):
-        if not any(coeffs):
-            continue
-        acc = ASRep(gf.zero, (), ())
-        for c, g in zip(coeffs, generators):
-            if c:
-                acc = add_reps(acc, scale_rep(g, c, gf), gf)
-        if acc.is_zero:
-            return None
-        elements.add(acc)
-    if len(elements) != p**r - 1:
-        return None
-    return frozenset(elements)
+def _coordinates(classes, gf):
+    """Each class as (pivot, {slot id: coeff}, {place id: top j + 1},
+    conductor degree), for the classes whose pivot coefficient is 1, in
+    increasing pivot order; and the Place of each place id.  Slots are
+    numbered in first-seen order, which fixes the pivot order."""
+    constant_index = {c: i for i, c in enumerate(gf.coset_reps)}
+    slots: dict = {}
+    place_ids: dict = {}
+    places: list = []
+
+    def place_id(key, place):
+        if key not in place_ids:
+            place_ids[key] = len(places)
+            places.append(place)
+        return place_ids[key]
+
+    def put(vec, slot, coeff):
+        for t, x in enumerate(coeff):
+            if x:
+                vec[slots.setdefault(slot + (t,), len(slots))] = x
+
+    out = []
+    for rep in classes:
+        vec: dict = {}
+        i = constant_index[rep.constant]
+        if i:
+            vec[slots.setdefault(("const",), len(slots))] = i
+        cond: dict = {}
+        for j, c in rep.infinity:
+            put(vec, ("inf", j), c)
+        if rep.infinity:
+            cond[place_id("inf", Place(1, "inf"))] = rep.infinity[-1][0] + 1
+        for poly, block in rep.finite:
+            for j, h in block:
+                for m, c in enumerate(h):
+                    put(vec, (poly, j, m), c)
+            place = Place(len(poly) - 1, _place_key(poly))
+            cond[place_id(poly, place)] = block[-1][0] + 1
+        pivot = min(vec)
+        if vec[pivot] == 1:
+            degree = sum(places[k].degree * mult for k, mult in cond.items())
+            out.append((pivot, vec, cond, degree))
+    out.sort(key=lambda entry: entry[0])
+    return out, places
 
 
-def _subspace_conductor(elements) -> DivisorModule:
-    entries: dict = {}
-    for rep in elements:
-        for place, mult in rep.conductor().entries:
-            entries[place] = max(entries.get(place, 0), mult)
-    return DivisorModule.from_entries(entries)
+def _subspace_census(classes, gf, r: int, bound: int, budget: int) -> dict:
+    """{DivisorModule: count} of the r-dimensional subspaces with conductor
+    degree <= bound, each visited once through its reduced row-echelon
+    basis (see the module docstring)."""
+    encoded, places = _coordinates(classes, gf)
+    weights = [place.degree for place in places]
+    counts: dict = {}
+    work = 0
+
+    def extend(depth: int, cands: list):
+        # each entry carries its own vector and the conductor of the span
+        # of the vectors chosen so far together with it
+        nonlocal work
+        for pos, (pivot, vec, cond, degree) in enumerate(cands):
+            if depth == r:
+                key = tuple(sorted(cond.items()))
+                counts[key] = counts.get(key, 0) + 1
+                continue
+            nxt = []
+            for other_pivot, other_vec, other_cond, _ in cands[pos + 1:]:
+                work += 1
+                if work > budget:
+                    raise BudgetExceededError(
+                        f"subspace enumeration exceeded the budget {budget}"
+                    )
+                if other_pivot in vec or pivot in other_vec:
+                    continue
+                merged = dict(cond)
+                merged_degree = degree
+                for place, mult in other_cond.items():
+                    have = merged.get(place, 0)
+                    if mult > have:
+                        merged_degree += weights[place] * (mult - have)
+                        merged[place] = mult
+                if merged_degree <= bound:  # conductors only grow
+                    nxt.append((other_pivot, other_vec, merged, merged_degree))
+            if len(nxt) > r - depth - 1:
+                extend(depth + 1, nxt)
+
+    extend(1, encoded)
+    return {
+        DivisorModule.from_entries({places[k]: mult for k, mult in key}): count
+        for key, count in counts.items()
+    }
 
 
 def oracle_counts(
@@ -438,33 +517,24 @@ def oracle_counts(
         raise ModelError(f"q = {q} is not a power of p = {p}")
     gf = GF(p, k)
     classes = enumerate_classes(gf, bound, budget)
-    counts: dict = {}
-    if r == 1:
-        for rep in classes:
-            cond = rep.conductor()
-            counts[cond] = counts.get(cond, 0) + 1
-        bad = [m for m, c in counts.items() if c % (p - 1)]
-        if bad:
-            raise ConsistencyError(
-                "class orbits did not split evenly; enumeration is inconsistent"
-            )
-        return {m: c // (p - 1) for m, c in counts.items()}
-    seen = set()
-    work = 0
-    for generators in itertools.combinations(classes, r):
-        work += p**r
-        if work > budget:
-            raise BudgetExceededError(
-                f"subspace enumeration exceeded the budget {budget}"
-            )
-        span = _span(generators, gf, p, r)
-        if span is None or span in seen:
-            continue
-        seen.add(span)
-        cond = _subspace_conductor(span)
-        if cond.degree <= bound:
-            counts[cond] = counts.get(cond, 0) + 1
-    return counts
+    if r > 1:
+        return _subspace_census(classes, gf, r, bound, budget)
+    # the top index at infinity and at each finite place fixes the conductor
+    first: dict = {}
+    tally: dict = {}
+    for rep in classes:
+        # one flat tuple per class: nested ones leave ~10x the garbage
+        key = [rep.infinity[-1][0] if rep.infinity else 0]
+        for poly, block in rep.finite:
+            key += poly, block[-1][0]
+        key = tuple(key)
+        first.setdefault(key, rep)
+        tally[key] = tally.get(key, 0) + 1
+    if any(count % (p - 1) for count in tally.values()):
+        raise ConsistencyError(
+            "class orbits did not split evenly; enumeration is inconsistent"
+        )
+    return {first[key].conductor(): n // (p - 1) for key, n in tally.items()}
 
 
 def counts_by_degree(counts: dict, bound: int) -> list:
@@ -493,15 +563,18 @@ def normalize_rational(gf, num, den) -> ASRep:
         num = poly_scale(num, inv, gf)
     quot, rem = poly_divmod(num, den, gf)
 
-    # factor the monic denominator
+    # factor the monic denominator by trial division up to half the degree
+    # of what is left; a leftover of degree >= 1 is then irreducible
     factors: dict = {}
     rest = den
-    for cand in irreducibles_up_to(gf, max(len(den) - 1, 0)):
-        while len(rest) > 1 and not poly_mod(rest, cand, gf):
+    for cand in irreducibles_up_to(gf, (len(den) - 1) // 2):
+        if 2 * (len(cand) - 1) > len(rest) - 1:
+            break
+        while not poly_mod(rest, cand, gf):
             rest = poly_divmod(rest, cand, gf)[0]
             factors[cand] = factors.get(cand, 0) + 1
-        if len(rest) == 1:
-            break
+    if len(rest) > 1:
+        factors[rest] = 1
 
     fin: dict = {}
     for poly, mult in factors.items():

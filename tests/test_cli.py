@@ -122,6 +122,15 @@ def test_impossible_models_and_modules_exit_2(capsys):
     assert code == 2 and "places of degree 1" in err
 
 
+def test_genus2_exceptional_module_needs_its_count_under_any_label(capsys):
+    for module in ("1.a^2", "1.0^2"):
+        code, out, err = run(capsys, "conductor", "--q", "2", "--p", "2",
+                             "--genus", "2", "--l-poly", "1,0,0,0,4",
+                             "--module", module)
+        assert code == 2 and out == ""
+        assert "missing exceptional conductor count" in err
+
+
 def test_invalid_input_exit_code(capsys):
     code, _, err = run(capsys, "series", "--q", "6", "--p", "2")
     assert code == 2

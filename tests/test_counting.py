@@ -21,7 +21,7 @@ from asdist import (
     unit_group_size,
     wild_exponent,
 )
-from asdist.counting import _as_nonneg_int
+from asdist.counting import _as_nonneg_int, _is_exceptional
 from asdist.errors import ConsistencyError
 
 GENUS2 = dict(p=2, q=2, genus=2, l_poly=[1, -2, 4, -4, 4], clp_order=1)
@@ -171,6 +171,33 @@ def test_conductor_count_genus2_requires_exceptional_data():
     small = DivisorModule.from_entries({Place(1, "0"): 2})
     with pytest.raises(UnsupportedInputError):
         conductor_count(model, group, small)
+
+
+def test_conductor_count_genus2_labelled_places_need_exceptional_data():
+    # the same module under a user label and under the internal index
+    model = make_field_model(2, 2, 2, [1, 0, 0, 0, 4])
+    group = subgroup_count_poly(2, 1)
+    for label in ("a", "0"):
+        module = DivisorModule.from_entries({Place(1, label): 2})
+        with pytest.raises(UnsupportedInputError):
+            conductor_count(model, group, module)
+    small = DivisorModule.from_entries({Place(1, "0"): 2})
+    supplied = make_field_model(
+        2, 2, 2, [1, 0, 0, 0, 4], exceptional_counts={small: 5}
+    )
+    assert conductor_count(supplied, group, small) == 5
+
+
+@pytest.mark.parametrize("genus", [0, 1, 2])
+def test_exceptional_predicate_matches_exceptional_modules(genus):
+    model = {
+        0: rational_field(2),
+        1: make_field_model(2, 2, 1, [1, -1, 2], clp_order=2),
+        2: make_field_model(**GENUS2),
+    }[genus]
+    exceptional = exceptional_modules(model)
+    for module in modules_up_to_degree(model, 6):
+        assert _is_exceptional(model, module) == (module in exceptional)
 
 
 def _mobius_sum(model, group, module, i):

@@ -1,6 +1,7 @@
 """Brute-force oracle: finite fields, normal forms, census consistency."""
 import itertools
 import random
+import time
 
 import pytest
 
@@ -291,6 +292,73 @@ def test_oracle_counts_match_series(q, p, r, bound):
     series = conductor_series(model, group, bound)
     got = counts_by_degree(oracle_counts(q, p, r, bound), bound)
     assert got == [int(c) for c in series.coeffs]
+
+
+def _span_census(q, p, r, bound):
+    """The census by its definition: span every r-combination of classes
+    with add_reps/scale_rep, drop dependent and repeated spans, and take the
+    conductor as the place-wise max over every element of the span."""
+    gf = GF(p, {2: 1, 3: 1, 4: 2}[q])
+    zero = ASRep(gf.zero, (), ())
+    classes = enumerate_classes(gf, bound)
+    conductors = {rep: rep.conductor() for rep in classes}
+    counts, seen = {}, set()
+    for generators in itertools.combinations(classes, r):
+        # the generators lie in the span, so their conductors bound its own
+        # from below: skip the span when theirs already exceed the bound
+        lower = {}
+        for rep in generators:
+            for place, mult in conductors[rep].entries:
+                lower[place] = max(lower.get(place, 0), mult)
+        if sum(place.degree * mult for place, mult in lower.items()) > bound:
+            continue
+        span = set()
+        for coeffs in itertools.product(range(p), repeat=r):
+            acc = zero
+            for c, rep in zip(coeffs, generators):
+                acc = add_reps(acc, scale_rep(rep, c, gf), gf)
+            span.add(acc)
+        span = frozenset(span)
+        if len(span) < p**r or span in seen:
+            continue
+        seen.add(span)
+        entries = {}
+        for rep in span:
+            for place, mult in rep.conductor().entries:
+                entries[place] = max(entries.get(place, 0), mult)
+        module = DivisorModule.from_entries(entries)
+        if module.degree <= bound:
+            counts[module] = counts.get(module, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize(
+    "q,p,r,bound", [(2, 2, 2, 5), (3, 3, 2, 3), (2, 2, 3, 4), (4, 2, 2, 4)]
+)
+def test_census_matches_span_definition(q, p, r, bound):
+    expected = _span_census(q, p, r, bound)
+    assert expected  # the comparison is not between two empty censuses
+    assert oracle_counts(q, p, r, bound) == expected
+
+
+def test_census_matches_series_at_larger_sizes():
+    start = time.monotonic()
+    for q, p, r, bound in [(2, 2, 2, 8), (3, 3, 2, 4), (2, 2, 3, 6),
+                           (4, 2, 2, 5)]:
+        series = conductor_series(
+            rational_field(q, p), subgroup_count_poly(p, r), bound
+        )
+        got = counts_by_degree(oracle_counts(q, p, r, bound), bound)
+        assert got == [int(c) for c in series.coeffs]
+    assert time.monotonic() - start < 20.0
+
+
+def test_subspace_walk_budget():
+    # the budget covers the classes, so it runs out inside the walk
+    budget = 1000
+    assert len(enumerate_classes(GF(2, 1), 7, budget=budget)) < budget
+    with pytest.raises(BudgetExceededError):
+        oracle_counts(2, 2, 2, 7, budget=budget)
 
 
 def test_add_and_scale_group_laws():
