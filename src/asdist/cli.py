@@ -146,6 +146,7 @@ def cmd_conductor(args) -> int:
 
 
 def cmd_poles(args) -> int:
+    subgroup_count_poly(args.p, args.r)  # validates p and r
     report = pole_analysis(args.p, args.r)
     payload = _base_payload("poles", args, None)
     payload["data"] = [{

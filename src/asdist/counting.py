@@ -180,30 +180,12 @@ def exceptional_modules(model: FieldModel) -> frozenset:
     """The finite set M: the trivial module plus, for genus >= 2, all
     squareful modules supported on primes of degree <= 2g-2 with
     multiplicities <= 2g."""
-    trivial = DivisorModule.trivial()
-    if model.genus <= 1:
-        return frozenset({trivial})
-    max_degree = 2 * model.genus - 2
-    max_mult = 2 * model.genus
-    counts = model.place_counts(max_degree)
-    places = [
-        Place(d, str(j))
-        for d in range(1, max_degree + 1)
-        for j in range(counts[d - 1])
-    ]
-    result = {trivial}
-    options = [range(0, max_mult + 1) for _ in places]
-    for mults in itertools.product(*options):
-        if not any(mults):
-            continue
-        if any(m == 1 for m in mults):
-            continue
-        result.add(
-            DivisorModule(
-                tuple((p, m) for p, m in zip(places, mults) if m > 0)
-            )
-        )
-    return frozenset(result)
+    places = abstract_places(model, max(2 * model.genus - 2, 0))
+    multiplicities = [0, *range(2, 2 * model.genus + 1)]
+    return frozenset(
+        DivisorModule(tuple((p, m) for p, m in zip(places, mults) if m))
+        for mults in itertools.product(multiplicities, repeat=len(places))
+    )
 
 
 def _is_exceptional(model: FieldModel, module: DivisorModule) -> bool:
@@ -232,6 +214,25 @@ def product_count(model: FieldModel, group: GroupSpec, module: DivisorModule) ->
             )
         total += term
     return total
+
+
+def exceptional_correction(
+    model: FieldModel, group: GroupSpec, module: DivisorModule
+) -> Fraction:
+    """c~(m0), the correction of an exceptional module m0 that both
+    `conductor_count` and the series' error term add: e(|Cl[p]|) - sum_i e_i
+    for the trivial module, otherwise the count of m0 supplied with the
+    model minus `product_count`."""
+    if module.is_trivial:
+        return group.quotient_count(model.clp_order) - sum(
+            group.e_coeffs, Fraction(0)
+        )
+    counts = model.exceptional_count_map()
+    if module not in counts:
+        raise UnsupportedInputError(
+            f"missing exceptional conductor count for {module}"
+        )
+    return Fraction(counts[module]) - product_count(model, group, module)
 
 
 def _as_nonneg_int(value: Fraction, context: str) -> int:
@@ -263,17 +264,7 @@ def conductor_count(model: FieldModel, group: GroupSpec, module: DivisorModule) 
         # m = m0 * m1^2 with m0 in the exceptional set, m1 squarefree on
         # large-degree primes.
         m1 = DivisorModule(tuple((p, 1) for p, _ in large.entries))
-        if small.is_trivial:
-            c_tilde = group.quotient_count(model.clp_order) - sum(
-                group.e_coeffs, Fraction(0)
-            )
-        else:
-            counts = model.exceptional_count_map()
-            if small not in counts:
-                raise UnsupportedInputError(
-                    f"missing exceptional conductor count for {small}"
-                )
-            c_tilde = Fraction(counts[small]) - product_count(model, group, small)
+        c_tilde = exceptional_correction(model, group, small)
         value = m1.mobius() * c_tilde + product_count(model, group, module)
         return _as_nonneg_int(value, f"conductor {module}")
     return _as_nonneg_int(

@@ -13,8 +13,10 @@ from math import gcd, lcm
 
 import mpmath
 
-from .counting import GroupSpec, exceptional_modules, product_count, wild_exponent
-from .errors import ConsistencyError, ModelError, PrecisionError, UnsupportedInputError
+from .counting import (
+    GroupSpec, exceptional_correction, exceptional_modules, wild_exponent,
+)
+from .errors import ConsistencyError, ModelError, PrecisionError
 from .field import FieldModel
 from .series import TruncatedSeries, euler_product, mul as poly_mul, subst_monomial
 
@@ -65,24 +67,9 @@ class RationalFunctionT:
         object.__setattr__(self, "numerator", tuple(num))
         object.__setattr__(self, "denominator", tuple(den))
 
-    def times(self, other: "RationalFunctionT") -> "RationalFunctionT":
-        return RationalFunctionT(
-            poly_mul(self.numerator, other.numerator),
-            poly_mul(self.denominator, other.denominator),
-        )
-
     def series(self, order: int) -> TruncatedSeries:
         inverse = euler_product([(self.denominator, -1)], order)
         return TruncatedSeries(poly_mul(self.numerator, inverse, order))
-
-    def inverse_series(self, order: int) -> TruncatedSeries:
-        inverse = euler_product([(self.numerator, -1)], order)
-        return TruncatedSeries(poly_mul(self.denominator, inverse, order))
-
-    def evaluate(self, point):
-        num = mpmath.polyval(list(reversed(self.numerator)), point)
-        den = mpmath.polyval(list(reversed(self.denominator)), point)
-        return num / den
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +105,6 @@ def euler_component_series(
 def error_term_series(model: FieldModel, group: GroupSpec, order: int) -> TruncatedSeries:
     """Rational error term of the decomposition: the part of the series the
     Euler components miss, driven by the finitely many exceptional modules."""
-    c1 = group.quotient_count(model.clp_order)
     # the trivial module contributes c_1 - sum_i e_i directly; the Moebius
     # sum below re-adds its c~ term, so the standalone constant reduces to e_0
     const = group.e_coeffs[0]
@@ -132,16 +118,8 @@ def error_term_series(model: FieldModel, group: GroupSpec, order: int) -> Trunca
     small = [(_one_plus([(2 * d, -1)]), -b_d) for d, b_d in enumerate(counts, start=1)]
     restricted = euler_product(inv_zeta_2s + small, order)
     poly = TruncatedSeries.zero(order)
-    counts_map = model.exceptional_count_map()
     for module in sorted(exceptional_modules(model), key=lambda m: (m.degree, repr(m))):
-        if module.is_trivial:
-            c_tilde = c1 - sum(group.e_coeffs, Fraction(0))
-        else:
-            if module not in counts_map:
-                raise UnsupportedInputError(
-                    f"missing exceptional conductor count for {module}"
-                )
-            c_tilde = Fraction(counts_map[module]) - product_count(model, group, module)
+        c_tilde = exceptional_correction(model, group, module)
         if module.degree <= order:
             poly = poly + TruncatedSeries.monomial(c_tilde, module.degree, order)
     return const + poly.mul(TruncatedSeries(restricted))
@@ -152,6 +130,8 @@ def conductor_series(model: FieldModel, group: GroupSpec, order: int) -> Truncat
     to be nonnegative integers."""
     if group.p != model.p:
         raise ModelError("group exponent must equal the field characteristic")
+    if order < 0:
+        raise ModelError(f"series order must be >= 0, got {order}")
     total = error_term_series(model, group, order)
     for i in range(1, group.r + 1):
         total = total + euler_component_series(model, group, i, order).scale(
@@ -224,26 +204,16 @@ def holomorphic_factor_value(
 def holomorphic_factor_at_abscissa(
     model: FieldModel, p: int, r: int, degree_cutoff: int, prec_bits: int = 200
 ):
-    """Value of the holomorphic factor at the convergence abscissa with a
-    rigorous tail bound; returns (value, bound)."""
+    """Value of the holomorphic factor at the convergence abscissa, i.e.
+    `holomorphic_factor_value` at t = q^(-a), with a rigorous tail bound;
+    returns (value, bound)."""
     if degree_cutoff < 1:
         raise ValueError("degree cutoff must be >= 1")
+    a = pole_analysis(p, r).abscissa
     with mpmath.workprec(prec_bits):
         q = mpmath.mpf(model.q)
-        counts = model.place_counts(degree_cutoff)
-        total = mpmath.mpf(1)
-        for d in range(1, degree_cutoff + 1):
-            b_d = counts[d - 1]
-            if b_d == 0:
-                continue
-            n = q**d
-            # factor at the abscissa: (1 + N^{-r} sum_{l=1}^{p-1} N^{l(r-1)/p})
-            #                         * prod_{l=1}^{p-1} (1 - N^{-r} N^{l(r-1)/p})
-            powers = [n ** (mpmath.mpf(l * (r - 1)) / p) for l in range(1, p)]
-            factor = 1 + n ** (-r) * mpmath.fsum(powers)
-            for w in powers:
-                factor *= 1 - n ** (-r) * w
-            total *= factor**b_d
+        point = q ** (-mpmath.mpf(a.numerator) / a.denominator)
+        total = holomorphic_factor_value(model, p, r, point, degree_cutoff, prec_bits)
         # tail: per-prime deviation is O(N^{-tau}) with tau = 2(r+p-1)/p > 1
         tau = mpmath.mpf(2 * (r + p - 1)) / p
         if tau <= 1:
@@ -344,6 +314,8 @@ def discriminant_view(
     model: FieldModel, group: GroupSpec, up_to_degree: int
 ) -> DiscriminantView:
     p, r = group.p, group.r
+    if up_to_degree < 0:
+        raise ModelError(f"order must be >= 0, got {up_to_degree}")
     a_lower, a_malle, sign = exponent_comparison(p, r)
     d_upper = Fraction(1 + (p - 1) * r, p * (p**r - p ** (r - 1)))
     z_table = None

@@ -96,9 +96,6 @@ class FieldModel:
             b.append(total // d)
         return b
 
-    def l_series(self, order: int) -> TruncatedSeries:
-        return TruncatedSeries.from_coeffs(self.l_poly, order)
-
     def zeta_series(self, order: int) -> TruncatedSeries:
         """Expansion of L(t) / ((1 - t)(1 - q t)) to the given order."""
         factors = [(self.l_poly, 1), ([1, -1], -1), ([1, -self.q], -1)]

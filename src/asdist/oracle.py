@@ -62,41 +62,15 @@ class GF:
                 self._coset_rep[self.add(rep, v)] = rep
         self.coset_reps = tuple(self.scalar_mul(i, unit) for i in range(p))
 
-    # -- modulus search over F_p ------------------------------------------
+    # -- modulus: the first monic irreducible of degree k over F_p ---------
     def _find_modulus(self):
-        p, k = self.p, self.k
-        if k == 1:
+        if self.k == 1:
             return (0, 1)
-
-        def fp_divmod(a, b):
-            a = list(a)
-            inv_lead = pow(b[-1], p - 2, p)
-            quot = [0] * (len(a) - len(b) + 1)
-            for i in range(len(a) - len(b), -1, -1):
-                c = a[i + len(b) - 1] * inv_lead % p
-                quot[i] = c
-                for j, bj in enumerate(b):
-                    a[i + j] = (a[i + j] - c * bj) % p
-            while len(a) > 1 and a[-1] == 0:
-                a.pop()
-            return quot, a
-
-        def monic(degree):
-            for tail in itertools.product(range(p), repeat=degree):
-                yield list(tail) + [1]
-
-        for cand in monic(k):
-            divisible = False
-            for d in range(1, k // 2 + 1):
-                for div in monic(d):
-                    if fp_divmod(cand, div)[1] == [0]:
-                        divisible = True
-                        break
-                if divisible:
-                    break
-            if not divisible:
-                return tuple(cand)
-        raise ModelError("no irreducible modulus found")  # pragma: no cover
+        prime_field = GF(self.p)
+        poly = next(
+            f for f in irreducibles_up_to(prime_field, self.k) if len(f) == self.k + 1
+        )
+        return tuple(c[0] for c in poly)
 
     # -- element arithmetic ------------------------------------------------
     def elements(self):
@@ -358,25 +332,27 @@ def _pack(constant, inf: dict, fin: dict) -> ASRep:
 # exhaustive enumeration
 
 def _local_blocks(payloads, degree: int, budget: int, p: int):
-    """All nonempty local blocks at a place of the given degree whose
-    conductor degree fits the budget: yields (block, conductor_degree)."""
+    """All nonempty local blocks ((j, payload), ...) ascending in j at a
+    place of the given degree whose conductor degree fits the budget:
+    yields (block, conductor_degree)."""
     top = budget // degree - 1
     for j_top in range(1, top + 1):
         if j_top % p == 0:
             continue
         smaller = [j for j in range(1, j_top) if j % p]
-        nonzero = payloads[1:]
-        for top_payload in nonzero:
+        for top_payload in payloads[1:]:
             for rest in itertools.product(payloads, repeat=len(smaller)):
-                block = {j_top: top_payload}
-                for j, payload in zip(smaller, rest):
-                    if payload != payloads[0]:
-                        block[j] = payload
-                yield tuple(sorted(block.items())), degree * (j_top + 1)
+                block = tuple(
+                    (j, payload) for j, payload in zip(smaller, rest)
+                    if payload != payloads[0]
+                )
+                yield block + ((j_top, top_payload),), degree * (j_top + 1)
 
 
 def enumerate_classes(gf, bound: int, budget: int = DEFAULT_BUDGET) -> list:
-    """All nonzero normal-form classes whose conductor degree is <= bound."""
+    """All nonzero normal-form classes whose conductor degree is <= bound.
+    Places come in normal-form order (infinity, then finite places by
+    (deg P, P)), so each class is built directly as its ASRep."""
     places = [("inf", None, 1, tuple(gf.elements()))]
     for poly in irreducibles_up_to(gf, max(bound // 2, 0)):
         degree = len(poly) - 1
@@ -395,7 +371,7 @@ def enumerate_classes(gf, bound: int, budget: int = DEFAULT_BUDGET) -> list:
     def walk(idx: int, remaining: int, inf, fin):
         if idx == len(places):
             for constant in gf.coset_reps:
-                rep = _pack(constant, dict(inf), {p: dict(b) for p, b in fin})
+                rep = ASRep(constant, inf, fin)
                 if not rep.is_zero:
                     out.append(rep)
                     if len(out) > budget:
@@ -407,11 +383,14 @@ def enumerate_classes(gf, bound: int, budget: int = DEFAULT_BUDGET) -> list:
         walk(idx + 1, remaining, inf, fin)
         for block, cond_degree in _local_blocks(payloads, degree, remaining, gf.p):
             if kind == "inf":
-                walk(idx + 1, remaining - cond_degree, dict(block), fin)
+                walk(idx + 1, remaining - cond_degree, block, fin)
             else:
                 walk(idx + 1, remaining - cond_degree, inf, fin + ((poly, block),))
 
-    walk(0, bound, {}, ())
+    try:
+        walk(0, bound, (), ())
+    finally:
+        del walk  # the closure refers to itself; leave no cycle holding `out`
     return out
 
 
@@ -515,6 +494,8 @@ def oracle_counts(
     k = _prime_power_exponent(q, p)
     if k is None:
         raise ModelError(f"q = {q} is not a power of p = {p}")
+    if bound < 0:
+        raise ModelError(f"conductor degree bound must be >= 0, got {bound}")
     gf = GF(p, k)
     classes = enumerate_classes(gf, bound, budget)
     if r > 1:

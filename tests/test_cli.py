@@ -120,6 +120,19 @@ def test_impossible_models_and_modules_exit_2(capsys):
     code, _, err = run(capsys, "conductor", "--q", "2", "--p", "2",
                        "--module", "1.a^2,1.b^2,1.c^2,1.d^2")
     assert code == 2 and "places of degree 1" in err
+    for argv in (
+        ["series", "--q", "2", "--p", "2", "--order", "-1"],
+        ["count", "--q", "2", "--p", "2", "--order", "-1"],
+        ["disc", "--q", "2", "--p", "2", "--order", "-1"],
+        ["disc", "--q", "3", "--p", "3", "--r", "2", "--order", "-1"],
+        ["compare", "--q", "2", "--p", "2", "--bound", "-1"],
+        ["oracle", "--q", "2", "--p", "2", "--bound", "-1"],
+        ["poles", "--q", "4", "--p", "4"],
+        ["poles", "--q", "3", "--p", "3", "--r", "0"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:"), argv
 
 
 def test_genus2_exceptional_module_needs_its_count_under_any_label(capsys):

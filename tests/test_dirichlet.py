@@ -14,6 +14,7 @@ from asdist import (
     error_term_series,
     euler_component_series,
     euler_factor_closed_form_check,
+    exceptional_modules,
     exponent_comparison,
     holomorphic_factor_at_abscissa,
     holomorphic_factor_series,
@@ -21,6 +22,7 @@ from asdist import (
     make_field_model,
     modules_up_to_degree,
     pole_analysis,
+    product_count,
     rational_field,
     subgroup_count_poly,
     zeta_factor_rational,
@@ -103,6 +105,33 @@ def test_conductor_series_genus2_needs_exceptional_counts():
     g2 = make_field_model(2, 2, 2, [1, -2, 4, -4, 4])
     with pytest.raises(UnsupportedInputError):
         conductor_series(g2, C2, 6)
+
+
+def test_conductor_series_genus2_matches_per_module_counts():
+    # c~ enters both the series' error term and conductor_count: supply a
+    # count for every nontrivial exceptional module and compare the two
+    plain = make_field_model(2, 2, 2, [1, 0, 0, 0, 4])
+    modules = exceptional_modules(plain)
+    assert len(modules) == 256
+    supplied = {m: product_count(plain, C2, m) + 1
+                for m in modules if not m.is_trivial}
+    model = make_field_model(2, 2, 2, [1, 0, 0, 0, 4],
+                             exceptional_counts=supplied)
+    order = 8
+    series = conductor_series(model, C2, order)
+    totals = [0] * (order + 1)
+    for module in modules_up_to_degree(model, order):
+        totals[module.degree] += conductor_count(model, C2, module)
+    assert totals == [int(c) for c in series.coeffs]
+    # a missing count is reported even when its module lies above the order
+    top = max(supplied, key=lambda m: m.degree)
+    assert top.degree > order
+    partial = make_field_model(
+        2, 2, 2, [1, 0, 0, 0, 4],
+        exceptional_counts={m: c for m, c in supplied.items() if m != top},
+    )
+    with pytest.raises(UnsupportedInputError):
+        error_term_series(partial, C2, order)
 
 
 def test_zeta_factor_p2_q2():

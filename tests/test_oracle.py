@@ -1,7 +1,9 @@
 """Brute-force oracle: finite fields, normal forms, census consistency."""
+import gc
 import itertools
 import random
 import time
+import weakref
 
 import pytest
 
@@ -116,6 +118,15 @@ def test_irreducible_counts_match_place_counts(q, p, k):
     assert by_degree[1:] == b[1:]
 
 
+@pytest.mark.parametrize("p,k,modulus", [
+    (2, 2, (1, 1, 1)), (2, 3, (1, 0, 1, 1)), (2, 4, (1, 0, 0, 1, 1)),
+    (3, 2, (1, 0, 1)), (3, 3, (1, 0, 2, 1)), (5, 2, (1, 1, 1)), (7, 2, (1, 0, 1)),
+])
+def test_modulus_is_the_first_monic_irreducible(p, k, modulus):
+    # the modulus fixes how field elements, and so place labels, are written
+    assert GF(p, k).modulus == modulus
+
+
 # ---------------------------------------------------------------------------
 # normal forms and conductors
 
@@ -218,6 +229,18 @@ def test_enumerate_classes_small():
     assert len(enumerate_classes(GF(2, 1), 0)) == 1
     assert len(enumerate_classes(GF(2, 1), 2)) == 7
     assert len(enumerate_classes(GF(2, 2), 0)) == 1
+
+
+def test_enumerate_classes_leaves_no_reference_cycle():
+    # without the cyclic collector, the classes must die with the list
+    gc.disable()
+    try:
+        classes = enumerate_classes(GF(3, 1), 4)
+        first = weakref.ref(classes[0])
+        del classes
+        assert first() is None
+    finally:
+        gc.enable()
 
 
 def test_enumerate_classes_matches_exhaustive_rationals():
