@@ -183,6 +183,8 @@ def holomorphic_factor_value(
 ):
     """Numeric value of the holomorphic factor at a point inside its region
     of convergence, via the Euler product over primes of degree <= cutoff."""
+    if degree_cutoff < 1:
+        raise ValueError("degree cutoff must be >= 1")
     with mpmath.workprec(prec_bits):
         z = mpmath.mpmathify(point)
         counts = model.place_counts(degree_cutoff)
@@ -207,8 +209,6 @@ def holomorphic_factor_at_abscissa(
     """Value of the holomorphic factor at the convergence abscissa, i.e.
     `holomorphic_factor_value` at t = q^(-a), with a rigorous tail bound;
     returns (value, bound)."""
-    if degree_cutoff < 1:
-        raise ValueError("degree cutoff must be >= 1")
     a = pole_analysis(p, r).abscissa
     with mpmath.workprec(prec_bits):
         q = mpmath.mpf(model.q)
@@ -254,11 +254,6 @@ class PoleReport:
     progression: int  # number of equally spaced poles on the circle
     pole_angles: tuple  # fractions of a full turn
     max_order_angles: tuple
-
-    @property
-    def radius_exponent(self) -> Fraction:
-        """R = q^{-radius_exponent} is the circle of convergence."""
-        return self.abscissa
 
 
 def pole_analysis(p: int, r: int) -> PoleReport:

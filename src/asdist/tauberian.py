@@ -43,9 +43,6 @@ class MeromorphicModel:
     principal_exact: dict | None  # same keys, Fractions, when exactly computable
     prec_bits: int
 
-    def nonzero_indices(self):
-        return [j for j, v in self.principal_coeffs.items() if v != 0]
-
 
 @dataclass(frozen=True)
 class AsymptoticEstimate:
@@ -76,38 +73,33 @@ def _cancel(f: RationalFunctionT):
     if g.degree() > 0:
         num = sympy.div(num, g)[0]
         den = sympy.div(den, g)[0]
-    return num, den, t
+    return num, den
 
 
-def _denominator_roots(den, t):
-    """Exact roots with multiplicity; falls back to certified clustering of
-    numeric roots when the exact solver comes up short."""
-    found = sympy.roots(den, t)
-    if sum(found.values()) == den.degree():
-        return list(found.items())
-    coeffs = [mpmath.mpf(int(c)) for c in den.all_coeffs()]
-    raw = mpmath.polyroots(coeffs, maxsteps=200, extraprec=120)
-    tol = mpmath.mpf(2) ** (-mpmath.mp.prec // 2)
-    clusters: list = []
-    for root in raw:
-        for cluster in clusters:
-            if abs(cluster[0] - root) < tol:
-                cluster[1] += 1
-                break
-        else:
-            clusters.append([root, 1])
-    return [(c[0], c[1]) for c in clusters]
-
-
-def _to_mpc(value, dps):
-    return mpmath.mpc(sympy.re(sympy.N(value, dps)), sympy.im(sympy.N(value, dps)))
+def _poles(den):
+    """Every root of `den` with its exact multiplicity, from one
+    factorisation over Q: (Fraction or None, mpc, multiplicity) triples.
+    A linear factor gives its root exactly; every other factor is
+    irreducible, hence squarefree, and its simple roots come numerically."""
+    poles = []
+    for factor, mult in sympy.factor_list(den)[1]:
+        coeffs = [int(c) for c in factor.all_coeffs()]
+        if len(coeffs) == 2:
+            root = Fraction(-coeffs[1], coeffs[0])
+            poles.append((root, mpmath.mpc(root.numerator) / root.denominator, mult))
+            continue
+        try:
+            roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=120)
+        except mpmath.libmp.NoConvergence as exc:
+            raise PrecisionError(f"pole finder did not converge: {exc}") from exc
+        poles += [(None, mpmath.mpc(z), mult) for z in roots]
+    return poles
 
 
 def principal_parts(
     f: RationalFunctionT,
     correction=None,
     prec_bits: int = DEFAULT_PREC_BITS,
-    max_root_count: int = 64,
 ) -> MeromorphicModel:
     """Locate the minimal-modulus poles of f and compute the order-b
     principal Laurent coefficients of the maximal order b found there.
@@ -116,91 +108,66 @@ def principal_parts(
     (used when f is known only as rational-part times point-evaluable part).
     """
     with mpmath.workprec(prec_bits):
-        dps = mpmath.mp.dps
-        num, den, t = _cancel(f)
+        num, den = _cancel(f)
         if den.degree() == 0:
             raise ValueError("input has no pole")
-        roots = _denominator_roots(den, t)
-        numeric = []
-        for root, mult in roots:
-            if isinstance(root, (mpmath.mpf, mpmath.mpc)):
-                numeric.append((None, mpmath.mpc(root), mult))
-            else:
-                numeric.append((root, _to_mpc(root, dps), mult))
-        radius = min(abs(z) for _, z, _ in numeric)
+        poles = _poles(den)
+        radius = min(abs(z) for _, z, _ in poles)
         tol = radius * mpmath.mpf(2) ** (-prec_bits // 3)
-        on_circle = [item for item in numeric if abs(abs(item[1]) - radius) < tol]
-        ambiguous = [
-            item
-            for item in numeric
-            if tol <= abs(abs(item[1]) - radius) < radius * mpmath.mpf("1e-6")
-        ]
-        if ambiguous:
+        on_circle = [item for item in poles if abs(abs(item[1]) - radius) < tol]
+        if any(
+            tol <= abs(abs(z) - radius) < radius * mpmath.mpf("1e-6")
+            for _, z, _ in poles
+        ):
             raise PrecisionError(
                 "pole moduli too close to separate at the working precision"
             )
         order = max(mult for _, _, mult in on_circle)
-        angles = [mpmath.arg(z) / (2 * mpmath.pi) for _, z, _ in on_circle]
+        # distinct fractions of denominator <= 2^(prec/8) lie >= 2^(-prec/4)
+        # apart, far wider than angle_tol, so the reading is unambiguous
         angle_tol = mpmath.mpf(2) ** (-prec_bits // 3)
-        root_count = None
-        for ell in range(1, max_root_count + 1):
-            if all(
-                abs(a * ell - mpmath.nint(a * ell)) < angle_tol * ell for a in angles
-            ):
-                root_count = ell
-                break
-        if root_count is None:
-            raise PrecisionError("pole angles are not commensurable at this precision")
-
-        radius_exact = None
-        for exact, z, _ in on_circle:
-            if exact is not None and getattr(exact, "is_Rational", False):
-                radius_exact = Fraction(int(exact.p), int(exact.q))
-                if radius_exact < 0:
-                    radius_exact = -radius_exact
-                break
+        by_angle = {}
+        for pole in on_circle:
+            angle = mpmath.arg(pole[1]) / (2 * mpmath.pi)
+            near = Fraction(int(mpmath.nint(angle * 2**prec_bits)), 2**prec_bits)
+            near = near.limit_denominator(2 ** (prec_bits // 8))
+            if abs(angle - mpmath.mpf(near.numerator) / near.denominator) >= angle_tol:
+                raise PrecisionError(
+                    "pole angles are not commensurable at this precision"
+                )
+            by_angle[near % 1] = pole
+        root_count = math.lcm(*(a.denominator for a in by_angle))
+        radius_exact = next(
+            (abs(exact) for exact, _, _ in on_circle if exact is not None), None
+        )
 
         num_coeffs = [int(c) for c in reversed(num.all_coeffs())]
         den_coeffs = [int(c) for c in reversed(den.all_coeffs())]
         den_deriv = [math.perm(i, order) * c for i, c in enumerate(den_coeffs)]
         den_deriv = den_deriv[order:]
-        xi = mpmath.exp(2j * mpmath.pi / root_count)
         coeffs: dict = {}
-        exact_coeffs: dict | None = {}
+        exact_coeffs: dict | None = {} if correction is None else None
         for j in range(1, root_count + 1):
-            u = radius * xi ** (-j)
-            match = None
-            for exact, z, mult in on_circle:
-                if abs(z - u) < tol:
-                    match = (exact, z, mult)
-                    break
-            if match is None or match[2] != order:
+            pole = by_angle.get(Fraction(-j, root_count) % 1)
+            if pole is None or pole[2] != order:
                 coeffs[j] = mpmath.mpc(0)
-                exact_coeffs[j] = Fraction(0)
+                if exact_coeffs is not None:
+                    exact_coeffs[j] = Fraction(0)
                 continue
-            exact, z, _ = match
-            value = (
+            exact, z, _ = pole
+            coeffs[j] = (
                 mpmath.factorial(order)
                 * mpmath.polyval(num_coeffs[::-1], z)
                 / mpmath.polyval(den_deriv[::-1], z)
             )
             if correction is not None:
-                value = value * correction(z)
+                coeffs[j] *= correction(z)
+            if exact is None:
                 exact_coeffs = None
-            if (
-                exact_coeffs is not None
-                and exact is not None
-                and getattr(exact, "is_Rational", False)
-            ):
-                ur = Fraction(int(exact.p), int(exact.q))
-                n_val = sum(Fraction(c) * ur**i for i, c in enumerate(num_coeffs))
-                d_val = sum(Fraction(c) * ur**i for i, c in enumerate(den_deriv))
-                exact_coeffs[j] = math.factorial(order) * n_val / d_val
             elif exact_coeffs is not None:
-                exact_coeffs = None
-            coeffs[j] = value
-        if all(v == 0 for v in coeffs.values()):
-            raise ValueError("no pole of maximal order matched the detected lattice")
+                n_val = sum(Fraction(c) * exact**i for i, c in enumerate(num_coeffs))
+                d_val = sum(Fraction(c) * exact**i for i, c in enumerate(den_deriv))
+                exact_coeffs[j] = math.factorial(order) * n_val / d_val
         return MeromorphicModel(
             radius, radius_exact, order, root_count, coeffs, exact_coeffs, prec_bits
         )
@@ -381,12 +348,12 @@ def tauberian_constant(
     p, r = group.p, group.r
     rational = zeta_factor_rational(model, p, r)
     e_top = group.e_coeffs[r]
-    scale = mpmath.mpf(e_top.numerator) / e_top.denominator
 
     def correction(u):
-        return scale * holomorphic_factor_value(
-            model, p, r, u, degree_cutoff, prec_bits
-        )
+        # runs inside principal_parts at prec_bits, so e_top is not rounded
+        # to the default 53 bits
+        value = holomorphic_factor_value(model, p, r, u, degree_cutoff, prec_bits)
+        return value * e_top.numerator / e_top.denominator
 
     pole_model = principal_parts(rational, correction=correction, prec_bits=prec_bits)
     estimate = predict_partial_sums(pole_model, pole_model.root_count)

@@ -1,6 +1,7 @@
 """Command-line interface: output formats, exit codes, flag handling."""
 import json
 
+import mpmath
 import pytest
 
 from asdist import DivisorModule, Place, UnsupportedInputError
@@ -86,6 +87,16 @@ def test_constant_command(capsys):
     assert "delta" in out
 
 
+def test_constant_pole_finder_failure_exits_3(capsys, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise mpmath.libmp.NoConvergence("no convergence")
+
+    monkeypatch.setattr(mpmath, "polyroots", no_convergence)
+    code, out, err = run(capsys, "constant", "--q", "3", "--p", "3")
+    assert (code, out) == (3, "")
+    assert "did not converge" in err
+
+
 def test_oracle_and_compare(capsys):
     code, out, _ = run(capsys, "oracle", "--q", "2", "--p", "2",
                        "--bound", "4")
@@ -129,6 +140,8 @@ def test_impossible_models_and_modules_exit_2(capsys):
         ["oracle", "--q", "2", "--p", "2", "--bound", "-1"],
         ["poles", "--q", "4", "--p", "4"],
         ["poles", "--q", "3", "--p", "3", "--r", "0"],
+        ["constant", "--q", "2", "--p", "2", "--cutoff", "0"],
+        ["constant", "--q", "3", "--p", "3", "--r", "2", "--cutoff", "-3"],
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv

@@ -52,6 +52,28 @@ def test_principal_parts_zeta_factor():
     assert model.root_count == 2
 
 
+def test_principal_parts_irrational_double_poles():
+    # 1/(1+t^2)^2: double poles at +-i, principal coefficient 2/(4u^2 - 4) = -1/4
+    model = principal_parts(RationalFunctionT((1,), (1, 0, 2, 0, 1)))
+    assert model.pole_order == 2
+    assert model.root_count == 4
+    assert model.principal_exact is None
+    for j, expected in [(1, -0.25), (2, 0), (3, -0.25), (4, 0)]:
+        assert abs(model.principal_coeffs[j] - expected) < 1e-50
+
+
+def test_principal_parts_sixth_roots_of_unity():
+    model = principal_parts(RationalFunctionT((1,), (1, -1, 1)))
+    assert model.pole_order == 1
+    assert model.root_count == 6
+
+
+def test_principal_parts_zeta_factor_p7():
+    model = principal_parts(zeta_factor_rational(rational_field(7), 7, 1))
+    assert model.pole_order == 6
+    assert model.root_count == 420  # lcm(2, ..., 7)
+
+
 def test_principal_parts_rejects_poleless_input():
     with pytest.raises(ValueError):
         principal_parts(RationalFunctionT((1, 1), (2,)))
@@ -146,6 +168,26 @@ def test_cross_path_constants_q3():
     generic = tauberian_constant(Q3, C3, degree_cutoff=25)
     assert closed.log_order == generic.log_order == 2
     assert abs(generic.constant - closed.constant) / closed.constant < 1e-9
+
+
+def test_cross_path_constants_q7():
+    q7 = rational_field(7)
+    closed = closed_form_constant(q7, subgroup_count_poly(7, 1))
+    generic = tauberian_constant(q7, subgroup_count_poly(7, 1))
+    assert closed.log_order == generic.log_order == 6
+    assert abs(generic.constant - closed.constant) / closed.constant < 1e-12
+    assert tauberian_constant(q7, subgroup_count_poly(7, 2)).log_order == 1
+
+
+def test_tauberian_constant_keeps_its_working_precision():
+    # e_top = 1/21 (C_2^3) and 2/3 (C_2^2 over F_4) are inexact at 53 bits
+    for q, r in [(2, 3), (4, 2)]:
+        field, group = rational_field(q), subgroup_count_poly(2, r)
+        exact = closed_form_constant(field, group).constant_exact
+        generic = tauberian_constant(field, group, degree_cutoff=40)
+        with mpmath.workprec(200):
+            exact_mpf = mpmath.mpf(exact.numerator) / exact.denominator
+            assert abs(generic.constant / exact_mpf - 1) < 1e-30, (q, r)
 
 
 def test_tauberian_exponent_is_the_abscissa():
