@@ -8,6 +8,7 @@ with a fixed schema, or TSV.  Exit codes: 0 success, 1 compare mismatch,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from fractions import Fraction
@@ -367,5 +368,17 @@ def main(argv=None) -> int:
         return 3
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Process entry point of `asdist` and `python -m asdist.cli`.
+
+    Freezing first moves the import-time heap (mostly sympy and mpmath) to
+    the permanent generation, so neither later collections nor the one at
+    interpreter exit walk it again.  `main` itself stays free of this
+    process-wide effect, so it can be called in-process any number of
+    times."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

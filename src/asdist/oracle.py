@@ -8,6 +8,16 @@ place-wise maximum over its nonzero elements.  Everything here is exhaustive
 enumeration over one concrete finite field; it exists to cross-check the
 analytic counts on small inputs.
 
+The classes themselves are built one at a time, by a depth-first walk
+over the places in normal-form order, which is nondecreasing in degree.  A
+nonempty local block at a place of degree d has conductor degree at least
+2d, so once the conductor degree left under the bound falls below 2d no
+block fits there or at any later place, and the walk emits the class at
+once.  The local blocks depend only on the kind of place (infinity or
+finite) and its degree, so each kind and degree gets one table of blocks up
+to the bound, sorted by conductor degree; a place walks a prefix of its
+table, and classes share the block tuples.
+
 The normal form is F_p-linear in fixed slots: the constant i*unit gives one
 coordinate i, a term a_j x^j gives the F_p-components of a_j, and a fraction
 h/P^j the components of each coefficient of h.  Adding classes adds these
@@ -331,12 +341,12 @@ def _pack(constant, inf: dict, fin: dict) -> ASRep:
 # ---------------------------------------------------------------------------
 # exhaustive enumeration
 
-def _local_blocks(payloads, degree: int, budget: int, p: int):
+def _local_blocks(payloads, degree: int, bound: int, p: int) -> list:
     """All nonempty local blocks ((j, payload), ...) ascending in j at a
-    place of the given degree whose conductor degree fits the budget:
-    yields (block, conductor_degree)."""
-    top = budget // degree - 1
-    for j_top in range(1, top + 1):
+    place of the given degree whose conductor degree is <= bound, as
+    (block, conductor_degree) in nondecreasing conductor degree."""
+    out = []
+    for j_top in range(1, bound // degree):
         if j_top % p == 0:
             continue
         smaller = [j for j in range(1, j_top) if j % p]
@@ -346,46 +356,53 @@ def _local_blocks(payloads, degree: int, budget: int, p: int):
                     (j, payload) for j, payload in zip(smaller, rest)
                     if payload != payloads[0]
                 )
-                yield block + ((j_top, top_payload),), degree * (j_top + 1)
+                out.append((block + ((j_top, top_payload),), degree * (j_top + 1)))
+    return out
 
 
 def enumerate_classes(gf, bound: int, budget: int = DEFAULT_BUDGET) -> list:
     """All nonzero normal-form classes whose conductor degree is <= bound.
     Places come in normal-form order (infinity, then finite places by
     (deg P, P)), so each class is built directly as its ASRep."""
-    places = [("inf", None, 1, tuple(gf.elements()))]
+    # the places of one kind and degree share one payload set, hence one
+    # block table; the zero payload comes first, as _local_blocks expects
+    places = [(None, 1, _local_blocks(tuple(gf.elements()), 1, bound, gf.p))]
+    tables: dict = {}
     for poly in irreducibles_up_to(gf, max(bound // 2, 0)):
         degree = len(poly) - 1
-        if 2 * degree > bound:
-            continue
-        payloads = tuple(
-            poly_trim(tail, gf)
-            for tail in itertools.product(gf.elements(), repeat=degree)
-        )
-        # put the zero payload first; _local_blocks relies on it
-        payloads = ((),) + tuple(x for x in payloads if x)
-        places.append(("fin", poly, degree, payloads))
+        if degree not in tables:
+            payloads = tuple(
+                poly_trim(tail, gf)
+                for tail in itertools.product(gf.elements(), repeat=degree)
+            )
+            payloads = ((),) + tuple(x for x in payloads if x)
+            tables[degree] = _local_blocks(payloads, degree, bound, gf.p)
+        places.append((poly, degree, tables[degree]))
 
     out: list = []
 
     def walk(idx: int, remaining: int, inf, fin):
-        if idx == len(places):
-            for constant in gf.coset_reps:
-                rep = ASRep(constant, inf, fin)
-                if not rep.is_zero:
-                    out.append(rep)
-                    if len(out) > budget:
-                        raise BudgetExceededError(
-                            f"class enumeration exceeded the budget {budget}"
-                        )
+        # the class is complete once the cheapest block here, of conductor
+        # degree 2 * degree, no longer fits (see the module docstring)
+        if idx < len(places) and 2 * places[idx][1] <= remaining:
+            poly, _, blocks = places[idx]
+            walk(idx + 1, remaining, inf, fin)
+            for block, cond_degree in blocks:
+                if cond_degree > remaining:
+                    break
+                if poly is None:
+                    walk(idx + 1, remaining - cond_degree, block, fin)
+                else:
+                    walk(idx + 1, remaining - cond_degree, inf, fin + ((poly, block),))
             return
-        kind, poly, degree, payloads = places[idx]
-        walk(idx + 1, remaining, inf, fin)
-        for block, cond_degree in _local_blocks(payloads, degree, remaining, gf.p):
-            if kind == "inf":
-                walk(idx + 1, remaining - cond_degree, block, fin)
-            else:
-                walk(idx + 1, remaining - cond_degree, inf, fin + ((poly, block),))
+        for constant in gf.coset_reps:
+            rep = ASRep(constant, inf, fin)
+            if not rep.is_zero:
+                out.append(rep)
+                if len(out) > budget:
+                    raise BudgetExceededError(
+                        f"class enumeration exceeded the budget {budget}"
+                    )
 
     try:
         walk(0, bound, (), ())

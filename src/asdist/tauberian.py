@@ -213,8 +213,8 @@ def predict_partial_sums(model: MeromorphicModel, m: int) -> AsymptoticEstimate:
         exact_ok = model.principal_exact is not None and b == 1
         s_exact = Fraction(0)
         for j, p_j in model.principal_coeffs.items():
-            u = model.radius * xi ** (-j)
             if p_j != 0:
+                u = model.radius * xi ** (-j)
                 s += (-u) ** (-b) * p_j * xi ** (j * m) / (1 - u)
             if exact_ok:
                 angle = Fraction(-j, ell) % 1

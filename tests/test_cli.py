@@ -1,9 +1,15 @@
 """Command-line interface: output formats, exit codes, flag handling."""
+import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import pytest
 
+import asdist
 from asdist import DivisorModule, Place, UnsupportedInputError
 from asdist.cli import main, parse_module
 
@@ -167,3 +173,26 @@ def test_invalid_input_exit_code(capsys):
     code, _, err = run(capsys, "oracle", "--q", "2", "--p", "2",
                        "--bound", "8", "--budget", "10")
     assert code == 2
+
+
+def test_entry_point_freezes_the_heap_before_main():
+    # the child swaps main for a probe, so only run() itself can freeze
+    src = str(Path(asdist.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    child = (
+        "import gc, asdist.cli as cli\n"
+        "cli.main = lambda argv=None: print(gc.get_freeze_count()) or 0\n"
+        "cli.run()\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 0
+
+
+def test_main_does_not_freeze(capsys):
+    before = gc.get_freeze_count()
+    code, _, _ = run(capsys, "compare", "--q", "2", "--p", "2", "--bound", "4")
+    assert code == 0
+    assert gc.get_freeze_count() == before

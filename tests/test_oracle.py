@@ -231,6 +231,34 @@ def test_enumerate_classes_small():
     assert len(enumerate_classes(GF(2, 2), 0)) == 1
 
 
+@pytest.mark.parametrize(
+    "p,k,bound", [(3, 1, 8), (2, 2, 6), (5, 1, 4), (2, 1, 10)]
+)
+def test_enumerate_classes_are_distinct_and_match_the_series(p, k, bound):
+    # each C_p-extension is the F_p^* orbit of p - 1 nonzero classes
+    classes = enumerate_classes(GF(p, k), bound)
+    assert len(set(classes)) == len(classes)
+    series = conductor_series(
+        rational_field(p**k, p), subgroup_count_poly(p, 1), bound
+    )
+    assert len(classes) == (p - 1) * sum(int(c) for c in series.coeffs)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_enumerate_classes_below_degree_two_places(p):
+    # at bound 3 no degree-2 place fits, and a class holds one pole of order
+    # <= 2 at infinity or at one degree-1 place; the walk stops early at
+    # every such class, and must still emit each of them
+    gf = GF(p, 1)
+    nums = [as_poly(gf, *c) for c in itertools.product(range(p), repeat=3)]
+    dens = [as_poly(gf, 1)] + [
+        poly_pow(as_poly(gf, -a, 1), 2, gf) for a in range(p)
+    ]
+    expected = {normalize_rational(gf, num, den) for num in nums for den in dens}
+    expected.discard(ASRep(gf.zero, (), ()))
+    assert set(enumerate_classes(gf, 3)) == expected
+
+
 def test_enumerate_classes_leaves_no_reference_cycle():
     # without the cyclic collector, the classes must die with the list
     gc.disable()
