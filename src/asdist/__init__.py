@@ -2,68 +2,89 @@
 fields: exact conductor counts, generating Dirichlet series, zeta-function
 factorization, Tauberian asymptotics, and a brute-force cross-check oracle."""
 
-from .counting import (
-    DivisorModule,
-    GroupSpec,
-    Place,
-    conductor_count,
-    exceptional_modules,
-    modules_up_to_degree,
-    product_count,
-    selmer_trivial,
-    subgroup_count_poly,
-    unit_group_size,
-    wild_exponent,
-)
-from .dirichlet import (
-    PoleReport,
-    RationalFunctionT,
-    conductor_series,
-    counting_function,
-    discriminant_view,
-    error_term_series,
-    euler_component_series,
-    euler_factor_closed_form_check,
-    exponent_comparison,
-    holomorphic_factor_at_abscissa,
-    holomorphic_factor_series,
-    holomorphic_factor_value,
-    pole_analysis,
-    zeta_factor_rational,
-)
-from .errors import (
-    BudgetExceededError,
-    ConsistencyError,
-    ModelError,
-    PrecisionError,
-    UnsupportedInputError,
-)
-from .field import (
-    FieldModel,
-    load_model_file,
-    make_field_model,
-    rational_field,
-)
-from .oracle import (
-    ASRep,
-    GF,
-    counts_by_degree,
-    enumerate_classes,
-    irreducibles_up_to,
-    normalize_rational,
-    oracle_counts,
-)
-from .series import TruncatedSeries, geometric
-from .tauberian import (
-    AsymptoticEstimate,
-    MeromorphicModel,
-    binomial_sum_check,
-    closed_form_constant,
-    empirical_ratio,
-    predict_coefficients,
-    predict_partial_sums,
-    principal_parts,
-    tauberian_constant,
-)
+# Building the import-time heap (mostly sympy and mpmath) sets off over a
+# hundred collections that find almost nothing to free.  Import with the
+# collector paused, then move the new heap straight to the oldest generation
+# (freeze then unfreeze, a list splice), so the first young collection
+# afterwards does not walk it either.  The move is skipped when anything is
+# frozen already, so a host's frozen objects stay frozen (on CPython 3.12 the
+# collector itself parks immortal objects there).  The collector's on/off
+# state is restored.
+import gc as _gc
+
+_collecting = _gc.isenabled()
+_unfrozen = _gc.get_freeze_count() == 0
+_gc.disable()
+try:
+    from .counting import (
+        DivisorModule,
+        GroupSpec,
+        Place,
+        conductor_count,
+        exceptional_modules,
+        modules_up_to_degree,
+        product_count,
+        selmer_trivial,
+        subgroup_count_poly,
+        unit_group_size,
+        wild_exponent,
+    )
+    from .dirichlet import (
+        PoleReport,
+        RationalFunctionT,
+        conductor_series,
+        counting_function,
+        discriminant_view,
+        error_term_series,
+        euler_component_series,
+        euler_factor_closed_form_check,
+        exponent_comparison,
+        holomorphic_factor_at_abscissa,
+        holomorphic_factor_series,
+        holomorphic_factor_value,
+        pole_analysis,
+        zeta_factor_rational,
+    )
+    from .errors import (
+        BudgetExceededError,
+        ConsistencyError,
+        ModelError,
+        PrecisionError,
+        UnsupportedInputError,
+    )
+    from .field import (
+        FieldModel,
+        load_model_file,
+        make_field_model,
+        rational_field,
+    )
+    from .oracle import (
+        ASRep,
+        GF,
+        counts_by_degree,
+        enumerate_classes,
+        irreducibles_up_to,
+        normalize_rational,
+        oracle_counts,
+    )
+    from .series import TruncatedSeries, geometric
+    from .tauberian import (
+        AsymptoticEstimate,
+        MeromorphicModel,
+        binomial_sum_check,
+        closed_form_constant,
+        empirical_ratio,
+        predict_coefficients,
+        predict_partial_sums,
+        principal_parts,
+        tauberian_constant,
+    )
+finally:
+    if _unfrozen:
+        _gc.freeze()
+        _gc.unfreeze()
+    if _collecting:
+        _gc.enable()
+    del _gc, _collecting, _unfrozen
 
 __version__ = "1.0.0"

@@ -168,6 +168,9 @@ def cmd_poles(args) -> int:
 
 
 def cmd_constant(args) -> int:
+    # the printed constants carry 15 significant digits
+    if args.prec_bits < 53:
+        raise ValueError(f"--prec-bits must be >= 53, got {args.prec_bits}")
     model = _build_model(args)
     group = subgroup_count_poly(args.p, args.r)
     closed = None

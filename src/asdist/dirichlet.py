@@ -185,9 +185,11 @@ def holomorphic_factor_value(
     of convergence, via the Euler product over primes of degree <= cutoff."""
     if degree_cutoff < 1:
         raise ValueError("degree cutoff must be >= 1")
-    with mpmath.workprec(prec_bits):
+    counts = model.place_counts(degree_cutoff)
+    # factor**b_d multiplies the rounding error of factor by b_d, so carry
+    # the bits of the largest b_d on top of prec_bits
+    with mpmath.workprec(prec_bits + max(counts).bit_length()):
         z = mpmath.mpmathify(point)
-        counts = model.place_counts(degree_cutoff)
         total = mpmath.mpf(1)
         for d in range(1, degree_cutoff + 1):
             b_d = counts[d - 1]

@@ -275,6 +275,9 @@ class ASRep:
     constant, polynomial terms a_j x^j, and proper partial fractions h/P^j,
     all with j coprime to p."""
 
+    # by hand, since dataclass(slots=True) cannot add __weakref__ before 3.11
+    __slots__ = ("constant", "infinity", "finite", "__weakref__")
+
     constant: tuple  # GF element, always one of gf.coset_reps
     infinity: tuple  # ((j, coeff), ...) ascending, j >= 1
     finite: tuple  # ((P, ((j, h), ...)), ...) sorted by (deg P, P)
@@ -511,6 +514,8 @@ def oracle_counts(
     k = _prime_power_exponent(q, p)
     if k is None:
         raise ModelError(f"q = {q} is not a power of p = {p}")
+    if r < 1:
+        raise ModelError(f"rank must be >= 1, got {r}")
     if bound < 0:
         raise ModelError(f"conductor degree bound must be >= 0, got {bound}")
     gf = GF(p, k)

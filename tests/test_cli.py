@@ -148,6 +148,10 @@ def test_impossible_models_and_modules_exit_2(capsys):
         ["poles", "--q", "3", "--p", "3", "--r", "0"],
         ["constant", "--q", "2", "--p", "2", "--cutoff", "0"],
         ["constant", "--q", "3", "--p", "3", "--r", "2", "--cutoff", "-3"],
+        ["oracle", "--q", "2", "--p", "2", "--r", "0", "--bound", "3"],
+        ["oracle", "--q", "2", "--p", "2", "--r", "-1", "--bound", "3"],
+        ["constant", "--q", "2", "--p", "2", "--prec-bits", "0"],
+        ["constant", "--q", "2", "--p", "2", "--prec-bits", "30"],
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv

@@ -190,6 +190,17 @@ def test_tauberian_constant_keeps_its_working_precision():
             assert abs(generic.constant / exact_mpf - 1) < 1e-30, (q, r)
 
 
+def test_closed_form_constant_holds_at_low_precision():
+    # factor**b_d with b_d up to ~2^27 (q=3) or ~2^42 (q=5) at cutoff 20
+    # once turned 30 bits into a wrong second digit
+    for q in (3, 5):
+        field, group = rational_field(q), subgroup_count_poly(q, 1)
+        reference = closed_form_constant(field, group).constant
+        for prec_bits in (30, 53):
+            low = closed_form_constant(field, group, prec_bits=prec_bits)
+            assert abs(low.constant / reference - 1) < 1e-7, (q, prec_bits)
+
+
 def test_tauberian_exponent_is_the_abscissa():
     generic = tauberian_constant(Q3, subgroup_count_poly(3, 2), degree_cutoff=12)
     assert generic.exponent == Fraction(5, 3)
