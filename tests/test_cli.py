@@ -150,6 +150,8 @@ def test_impossible_models_and_modules_exit_2(capsys):
         ["constant", "--q", "3", "--p", "3", "--r", "2", "--cutoff", "-3"],
         ["oracle", "--q", "2", "--p", "2", "--r", "0", "--bound", "3"],
         ["oracle", "--q", "2", "--p", "2", "--r", "-1", "--bound", "3"],
+        ["oracle", "--q", "2", "--p", "1", "--bound", "2"],
+        ["oracle", "--q", "2", "--p", "0", "--bound", "2"],
         ["constant", "--q", "2", "--p", "2", "--prec-bits", "0"],
         ["constant", "--q", "2", "--p", "2", "--prec-bits", "30"],
     ):

@@ -3,6 +3,7 @@ import gc
 import itertools
 import random
 import time
+import tracemalloc
 import weakref
 
 import pytest
@@ -300,17 +301,32 @@ def test_budget_exceeded():
     with pytest.raises(BudgetExceededError):
         enumerate_classes(GF(2, 1), 8, budget=10)
     with pytest.raises(BudgetExceededError):
+        oracle_counts(2, 2, 1, 8, budget=10)
+    with pytest.raises(BudgetExceededError):
         oracle_counts(2, 2, 2, 6, budget=100)
+
+
+def test_census_streams_its_classes():
+    # (3, 3, 1, 8) has 37,178 classes, which would take 4.1 MB held in a
+    # list; the tally keeps one entry per conductor
+    oracle_counts(3, 3, 1, 8)
+    tracemalloc.start()
+    try:
+        oracle_counts(3, 3, 1, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_uneven_orbit_split_is_a_consistency_error(monkeypatch):
     from asdist.cli import main
 
-    real = asdist.oracle.enumerate_classes
+    real = asdist.oracle.iter_classes
     # dropping one class leaves an odd number in its conductor's orbits
     monkeypatch.setattr(
-        asdist.oracle, "enumerate_classes",
-        lambda gf, bound, budget: real(gf, bound, budget)[:-1],
+        asdist.oracle, "iter_classes",
+        lambda gf, bound, budget: list(real(gf, bound, budget))[:-1],
     )
     with pytest.raises(ConsistencyError):
         oracle_counts(3, 3, 1, 3)
