@@ -78,6 +78,7 @@ try:
         predict_partial_sums,
         principal_parts,
         tauberian_constant,
+        zeta_factor_poles,
     )
 finally:
     if _unfrozen:

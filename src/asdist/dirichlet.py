@@ -146,16 +146,22 @@ def conductor_series(model: FieldModel, group: GroupSpec, order: int) -> Truncat
     return total
 
 
+def zeta_factor_binomials(p: int, r: int) -> list:
+    """The binomials 1 - q^e t^l of the denominator of the meromorphic
+    factor, as (l, e) pairs: zeta(l s - (l-1) r) is
+    L(c t^l) / ((1 - c t^l)(1 - q c t^l)) with c = q^((l-1) r)."""
+    return [(l, (l - 1) * r + k) for l in range(2, p + 1) for k in (0, 1)]
+
+
 def zeta_factor_rational(model: FieldModel, p: int, r: int) -> RationalFunctionT:
     """The meromorphic factor prod_{l=2}^p zeta(l s - (l-1) r) as an exact
     rational function in t."""
     num = [1]
-    den = [1]
     for l in range(2, p + 1):
-        c = model.q ** ((l - 1) * r)
-        num = poly_mul(num, subst_monomial(model.l_poly, c, l))
-        den = poly_mul(den, _one_plus([(l, -c)]))
-        den = poly_mul(den, _one_plus([(l, -c * model.q)]))
+        num = poly_mul(num, subst_monomial(model.l_poly, model.q ** ((l - 1) * r), l))
+    den = [1]
+    for l, e in zeta_factor_binomials(p, r):
+        den = poly_mul(den, _one_plus([(l, -model.q**e)]))
     return RationalFunctionT(tuple(num), tuple(den))
 
 

@@ -2,9 +2,14 @@
 
 Generic machinery: locate the minimal-modulus poles of a rational function,
 extract their leading principal-part coefficients, and predict coefficients
-and partial sums along the induced arithmetic progression.  On top of that,
-closed-form asymptotic constants for the conductor counting function in the
-two regimes where they are handy (p = 2, any rank; rank 1, odd p).
+and partial sums along the induced arithmetic progression.  `principal_parts`
+does this for any rational function, from an exact factorisation of its
+denominator (the one use of `sympy`).  The zeta factor of the conductor
+series needs no factorisation: its denominator is a product of known
+binomials 1 - q^e t^l, so `zeta_factor_poles` reads every pole, and its
+order, off those binomials, and `tauberian_constant` uses it.  On top of
+that, closed-form asymptotic constants for the conductor counting function
+in the two regimes where they are handy (p = 2, any rank; rank 1, odd p).
 """
 from __future__ import annotations
 
@@ -21,7 +26,7 @@ from .dirichlet import (
     holomorphic_factor_at_abscissa,
     holomorphic_factor_value,
     pole_analysis,
-    zeta_factor_rational,
+    zeta_factor_binomials,
 )
 from .errors import ConsistencyError, PrecisionError, UnsupportedInputError
 from .field import FieldModel
@@ -170,6 +175,64 @@ def principal_parts(
                 exact_coeffs[j] = math.factorial(order) * n_val / d_val
         return MeromorphicModel(
             radius, radius_exact, order, root_count, coeffs, exact_coeffs, prec_bits
+        )
+
+
+def zeta_factor_poles(
+    model: FieldModel, p: int, r: int, correction, prec_bits: int = DEFAULT_PREC_BITS
+) -> MeromorphicModel:
+    """`principal_parts(zeta_factor_rational(model, p, r), correction)`,
+    read off the binomials 1 - q^e t^l of the denominator: no factorisation
+    and no root finding.
+
+    The poles on the circle |t| = R = q^(-a) sit among z_j = R xi^(-j),
+    xi = exp(2 pi i / ell), with a and ell from `pole_analysis`.  The
+    binomial (l, e) vanishes at z_j exactly when l a = e and ell | j l, and
+    then 1 - q^e t^l ~ -(l / z_j)(t - z_j).  So the order of z = z_j is
+    the number of those binomials, and its principal coefficient
+    lim (t - z)^b f(t) is (-z)^b N(z) / (prod_vanishing l *
+    prod_other (1 - q^e z^l)) times correction(z), with the numerator
+    N(t) = prod_l L(q^((l-1) r) t^l).  N has no zero on the circle when L
+    satisfies the Riemann hypothesis.
+    """
+    report = pole_analysis(p, r)
+    a, ell, q = report.abscissa, report.progression, model.q
+    binomials = zeta_factor_binomials(p, r)
+    vanishing: dict = {}  # j -> the binomials that vanish at z_j
+    for l, e in binomials:
+        if l * a == e:
+            step = ell // math.gcd(ell, l)
+            for j in range(step, ell + 1, step):
+                vanishing.setdefault(j, []).append((l, e))
+    order = max(map(len, vanishing.values()), default=0)
+    if order != report.log_order:
+        raise ConsistencyError(
+            f"binomials give pole order {order}, expected {report.log_order}"
+        )
+    with mpmath.workprec(prec_bits):
+        radius = mpmath.mpf(q) ** (-mpmath.mpf(a.numerator) / a.denominator)
+        root = int(mpmath.nint(1 / radius))
+        exact = root**a.denominator == q**a.numerator
+        radius_exact = Fraction(1, root) if exact else None
+        l_coeffs = list(reversed(model.l_poly))
+        coeffs = dict.fromkeys(range(1, ell + 1), mpmath.mpc(0))
+        for j, zeros in vanishing.items():
+            if len(zeros) != order:
+                continue
+            z = radius * mpmath.expjpi(mpmath.mpf(-2 * j) / ell)
+            numer = mpmath.mpf(1)
+            for l in range(2, p + 1):
+                numer *= mpmath.polyval(l_coeffs, q ** ((l - 1) * r) * z**l)
+            if abs(numer) < mpmath.mpf(2) ** (-prec_bits // 2):
+                raise PrecisionError(
+                    f"the zeta factor's numerator vanishes at the pole {z}"
+                )
+            denom = mpmath.mpf(1)
+            for l, e in binomials:
+                denom *= l if (l, e) in zeros else 1 - q**e * z**l
+            coeffs[j] = (-z) ** order * numer / denom * correction(z)
+        return MeromorphicModel(
+            radius, radius_exact, order, ell, coeffs, None, prec_bits
         )
 
 
@@ -342,29 +405,28 @@ def tauberian_constant(
     degree_cutoff: int = 40,
     prec_bits: int = DEFAULT_PREC_BITS,
 ) -> AsymptoticEstimate:
-    """Asymptotic constant via generic principal-part extraction from the
-    exact meromorphic factor, corrected by the holomorphic factor.  The
-    exponent and log scale are reported as in `closed_form_constant`."""
+    """Asymptotic constant via principal-part extraction from the exact
+    meromorphic factor, corrected by the holomorphic factor.  The exponent
+    and log scale are reported as in `closed_form_constant`."""
     p, r = group.p, group.r
-    rational = zeta_factor_rational(model, p, r)
     e_top = group.e_coeffs[r]
 
     def correction(u):
-        # runs inside principal_parts at prec_bits, so e_top is not rounded
-        # to the default 53 bits
+        # runs inside zeta_factor_poles at prec_bits, so e_top is not
+        # rounded to the default 53 bits
         value = holomorphic_factor_value(model, p, r, u, degree_cutoff, prec_bits)
         return value * e_top.numerator / e_top.denominator
 
-    pole_model = principal_parts(rational, correction=correction, prec_bits=prec_bits)
+    pole_model = zeta_factor_poles(model, p, r, correction, prec_bits)
     estimate = predict_partial_sums(pole_model, pole_model.root_count)
     # a pole of order > 1 occurs only for r = 1, where R = 1/q, so the
     # constant (divided by log(1/R)^(b-1)) agrees with log_scale = log q
-    a = pole_analysis(p, r).abscissa
     with mpmath.workprec(prec_bits):
-        growth = mpmath.mpf(model.q) ** (mpmath.mpf(a.numerator) / a.denominator)
-        if abs(estimate.growth / growth - 1) > mpmath.mpf(2) ** (-prec_bits // 2):
-            raise ConsistencyError(f"pole growth {estimate.growth} is not q^{a}")
-        return replace(estimate, exponent=a, log_scale=mpmath.log(model.q))
+        return replace(
+            estimate,
+            exponent=pole_analysis(p, r).abscissa,
+            log_scale=mpmath.log(model.q),
+        )
 
 
 def empirical_ratio(series: TruncatedSeries, estimate: AsymptoticEstimate, n: int):

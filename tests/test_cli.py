@@ -6,11 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-import mpmath
 import pytest
 
 import asdist
-from asdist import DivisorModule, Place, UnsupportedInputError
+import asdist.tauberian
+from asdist import DivisorModule, Place, PrecisionError, UnsupportedInputError
 from asdist.cli import main, parse_module
 
 
@@ -94,10 +94,12 @@ def test_constant_command(capsys):
 
 
 def test_constant_pole_finder_failure_exits_3(capsys, monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise mpmath.libmp.NoConvergence("no convergence")
+    # the numeric failure of principal_parts' root finder is checked in
+    # test_tauberian; here a PrecisionError raised at a pole exits 3
+    def imprecise(*args, **kwargs):
+        raise PrecisionError("holomorphic factor did not converge")
 
-    monkeypatch.setattr(mpmath, "polyroots", no_convergence)
+    monkeypatch.setattr(asdist.tauberian, "holomorphic_factor_value", imprecise)
     code, out, err = run(capsys, "constant", "--q", "3", "--p", "3")
     assert (code, out) == (3, "")
     assert "did not converge" in err

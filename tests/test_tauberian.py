@@ -3,8 +3,13 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+import sympy
 
+import asdist.tauberian
 from asdist import (
+    ConsistencyError,
+    FieldModel,
+    PrecisionError,
     UnsupportedInputError,
     binomial_sum_check,
     closed_form_constant,
@@ -17,14 +22,23 @@ from asdist import (
     rational_field,
     subgroup_count_poly,
     tauberian_constant,
+    zeta_factor_poles,
     zeta_factor_rational,
 )
-from asdist.dirichlet import RationalFunctionT
+from asdist.dirichlet import RationalFunctionT, holomorphic_factor_value
 
 Q2 = rational_field(2)
 Q3 = rational_field(3)
 C2 = subgroup_count_poly(2, 1)
 C3 = subgroup_count_poly(3, 1)
+
+# (model, p, r) on which the binomial pole reader is checked: both ranks,
+# square q with rational radius (q=4, r=2), p up to 7, and a genus-1 model
+POLE_BATTERY = [
+    (rational_field(q), p, r)
+    for q, p, r in [(2, 2, 1), (2, 2, 3), (4, 2, 2), (3, 3, 1), (3, 3, 2),
+                    (5, 5, 1), (7, 7, 1)]
+] + [(make_field_model(3, 3, 1, [1, 1, 3], clp_order=1), 3, 1)]
 
 
 def test_principal_parts_double_pole():
@@ -72,6 +86,71 @@ def test_principal_parts_zeta_factor_p7():
     model = principal_parts(zeta_factor_rational(rational_field(7), 7, 1))
     assert model.pole_order == 6
     assert model.root_count == 420  # lcm(2, ..., 7)
+
+
+def test_principal_parts_pole_finder_failure_is_a_precision_error(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise mpmath.libmp.NoConvergence("no convergence")
+
+    monkeypatch.setattr(mpmath, "polyroots", no_convergence)
+    # 1 - 3 t^2 is an irreducible factor of the denominator
+    with pytest.raises(PrecisionError, match="did not converge"):
+        principal_parts(zeta_factor_rational(Q3, 3, 1))
+
+
+def test_zeta_factor_poles_match_principal_parts():
+    tol = mpmath.mpf(2) ** -150
+    for model, p, r in POLE_BATTERY:
+        def correction(u):
+            return holomorphic_factor_value(model, p, r, u, 8)
+
+        direct = zeta_factor_poles(model, p, r, correction)
+        reference = principal_parts(
+            zeta_factor_rational(model, p, r), correction=correction
+        )
+        case = (model.q, p, r)
+        assert direct.pole_order == reference.pole_order, case
+        assert direct.root_count == reference.root_count, case
+        assert direct.radius_exact == reference.radius_exact, case
+        with mpmath.workprec(200):
+            assert abs(direct.radius / reference.radius - 1) < tol, case
+            assert direct.principal_coeffs.keys() == reference.principal_coeffs.keys()
+            for j, expected in reference.principal_coeffs.items():
+                got = direct.principal_coeffs[j]
+                if expected == 0:
+                    assert got == 0, (case, j)
+                else:
+                    assert abs(got / expected - 1) < tol, (case, j)
+
+
+def test_tauberian_constant_needs_no_computer_algebra(monkeypatch):
+    def unavailable(*args, **kwargs):
+        raise AssertionError("tauberian_constant factored or root-found")
+
+    monkeypatch.setattr(sympy, "factor_list", unavailable)
+    monkeypatch.setattr(sympy, "gcd", unavailable)
+    monkeypatch.setattr(mpmath, "polyroots", unavailable)
+    for model, p, r in POLE_BATTERY:
+        estimate = tauberian_constant(model, subgroup_count_poly(p, r), 8)
+        assert estimate.constant > 0, (model.q, p, r)
+
+
+def test_zeta_factor_poles_reject_a_numerator_zero():
+    # L(u) = (1 - u)(1 - 3u) breaks the Riemann hypothesis and vanishes at
+    # u = 1/3, where the pole t = 1/3 of order 2 sends u = q t^2 (the model
+    # is built directly, as make_field_model rejects L(1) = 0)
+    broken = FieldModel(3, 3, 1, (1, -4, 3), 1)
+    with pytest.raises(PrecisionError, match="numerator vanishes"):
+        zeta_factor_poles(broken, 3, 1, lambda u: 1)
+
+
+def test_zeta_factor_poles_check_the_pole_order(monkeypatch):
+    # without the binomial 1 - q^3 t^3 the pole at 1/q has order 1, not 2
+    binomials = asdist.tauberian.zeta_factor_binomials
+    monkeypatch.setattr(asdist.tauberian, "zeta_factor_binomials",
+                        lambda p, r: binomials(p, r)[:-1])
+    with pytest.raises(ConsistencyError, match="pole order 1, expected 2"):
+        zeta_factor_poles(Q3, 3, 1, lambda u: 1)
 
 
 def test_principal_parts_rejects_poleless_input():
@@ -177,6 +256,14 @@ def test_cross_path_constants_q7():
     assert closed.log_order == generic.log_order == 6
     assert abs(generic.constant - closed.constant) / closed.constant < 1e-12
     assert tauberian_constant(q7, subgroup_count_poly(7, 2)).log_order == 1
+
+
+def test_cross_path_constants_q11():
+    q11 = rational_field(11)
+    closed = closed_form_constant(q11, subgroup_count_poly(11, 1))
+    generic = tauberian_constant(q11, subgroup_count_poly(11, 1))
+    assert closed.log_order == generic.log_order == 10
+    assert abs(generic.constant - closed.constant) / closed.constant < 1e-12
 
 
 def test_tauberian_constant_keeps_its_working_precision():
