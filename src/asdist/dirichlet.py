@@ -94,11 +94,12 @@ def euler_component_series(
     if not 1 <= i <= group.r:
         raise ModelError(f"component index {i} out of range 1..{group.r}")
     counts = model.place_counts(order) if order >= 1 else []
-    factors = [
+    # a generator, so euler_product holds one dense factor at a time
+    factors = (
         (_euler_factor_component(model.q, d, i, model.p, order), b_d)
         for d, b_d in enumerate(counts, start=1)
         if 2 * d <= order
-    ]
+    )
     return TruncatedSeries(euler_product(factors, order))
 
 
@@ -176,11 +177,13 @@ def holomorphic_factor_series(
 ) -> TruncatedSeries:
     """Truncated series of the holomorphic factor of the factorization."""
     counts = model.place_counts(order) if order >= 1 else []
-    factors = []
-    for d, b_d in enumerate(counts, start=1):
-        terms = _holomorphic_factor_terms(model.q, d, p, r)
-        factors.append((_one_plus(terms), b_d))
-        factors += [(_one_plus([(w, -c)]), b_d) for w, c in terms]
+    # (1 + sum m) then each (1 - m), one prime at a time
+    factors = (
+        (_one_plus(part), b_d)
+        for d, b_d in enumerate(counts, start=1)
+        for terms in [_holomorphic_factor_terms(model.q, d, p, r)]
+        for part in [terms] + [[(w, -c)] for w, c in terms]
+    )
     return TruncatedSeries(euler_product(factors, order))
 
 
@@ -260,8 +263,11 @@ class PoleReport:
     abscissa: Fraction
     log_order: int
     progression: int  # number of equally spaced poles on the circle
-    pole_angles: tuple  # fractions of a full turn
     max_order_angles: tuple
+
+    @property
+    def pole_angles(self) -> tuple:  # fractions of a full turn, built on demand
+        return tuple(Fraction(j, self.progression) for j in range(self.progression))
 
 
 def pole_analysis(p: int, r: int) -> PoleReport:
@@ -272,8 +278,7 @@ def pole_analysis(p: int, r: int) -> PoleReport:
     else:
         order = 1
         ell = p
-    angles = tuple(Fraction(j, ell) for j in range(ell))
-    return PoleReport(abscissa, order, ell, angles, (Fraction(0),))
+    return PoleReport(abscissa, order, ell, (Fraction(0),))
 
 
 def counting_function(model: FieldModel, group: GroupSpec, up_to_degree: int) -> list:

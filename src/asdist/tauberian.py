@@ -44,7 +44,7 @@ class MeromorphicModel:
     radius_exact: Fraction | None
     pole_order: int
     root_count: int  # poles sit among R * xi^{-j}, xi a primitive root of unity
-    principal_coeffs: dict  # j in 1..root_count -> mpc (0 where no max-order pole)
+    principal_coeffs: dict  # j -> mpc, only the j of the poles of maximal order
     principal_exact: dict | None  # same keys, Fractions, when exactly computable
     prec_bits: int
 
@@ -150,16 +150,13 @@ def principal_parts(
         den_coeffs = [int(c) for c in reversed(den.all_coeffs())]
         den_deriv = [math.perm(i, order) * c for i, c in enumerate(den_coeffs)]
         den_deriv = den_deriv[order:]
+        # the maximal-order poles, keyed by j in 1..root_count (angle -j/root_count)
+        top = {int(-angle * root_count) % root_count or root_count: pole
+               for angle, pole in by_angle.items() if pole[2] == order}
         coeffs: dict = {}
         exact_coeffs: dict | None = {} if correction is None else None
-        for j in range(1, root_count + 1):
-            pole = by_angle.get(Fraction(-j, root_count) % 1)
-            if pole is None or pole[2] != order:
-                coeffs[j] = mpmath.mpc(0)
-                if exact_coeffs is not None:
-                    exact_coeffs[j] = Fraction(0)
-                continue
-            exact, z, _ = pole
+        for j in sorted(top):
+            exact, z, _ = top[j]
             coeffs[j] = (
                 mpmath.factorial(order)
                 * mpmath.polyval(num_coeffs[::-1], z)
@@ -183,7 +180,8 @@ def zeta_factor_poles(
 ) -> MeromorphicModel:
     """`principal_parts(zeta_factor_rational(model, p, r), correction)`,
     read off the binomials 1 - q^e t^l of the denominator: no factorisation
-    and no root finding.
+    and no root finding.  It visits only the j where some binomial
+    vanishes and keeps the poles of maximal order, in increasing j.
 
     The poles on the circle |t| = R = q^(-a) sit among z_j = R xi^(-j),
     xi = exp(2 pi i / ell), with a and ell from `pole_analysis`.  The
@@ -215,8 +213,8 @@ def zeta_factor_poles(
         exact = root**a.denominator == q**a.numerator
         radius_exact = Fraction(1, root) if exact else None
         l_coeffs = list(reversed(model.l_poly))
-        coeffs = dict.fromkeys(range(1, ell + 1), mpmath.mpc(0))
-        for j, zeros in vanishing.items():
+        coeffs: dict = {}
+        for j, zeros in sorted(vanishing.items()):
             if len(zeros) != order:
                 continue
             z = radius * mpmath.expjpi(mpmath.mpf(-2 * j) / ell)
@@ -254,8 +252,6 @@ def predict_coefficients(model: MeromorphicModel, n: int):
         xi = mpmath.exp(2j * mpmath.pi / model.root_count)
         s = mpmath.mpc(0)
         for j, p_j in model.principal_coeffs.items():
-            if p_j == 0:
-                continue
             u = model.radius * xi ** (-j)
             s += (-u) ** (-b) * p_j * xi ** (j * n)
         s /= mpmath.factorial(b - 1)
@@ -276,9 +272,8 @@ def predict_partial_sums(model: MeromorphicModel, m: int) -> AsymptoticEstimate:
         exact_ok = model.principal_exact is not None and b == 1
         s_exact = Fraction(0)
         for j, p_j in model.principal_coeffs.items():
-            if p_j != 0:
-                u = model.radius * xi ** (-j)
-                s += (-u) ** (-b) * p_j * xi ** (j * m) / (1 - u)
+            u = model.radius * xi ** (-j)
+            s += (-u) ** (-b) * p_j * xi ** (j * m) / (1 - u)
             if exact_ok:
                 angle = Fraction(-j, ell) % 1
                 if angle == 0:

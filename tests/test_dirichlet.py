@@ -1,4 +1,5 @@
 """Dirichlet-series assembly, zeta factorization, poles, derived views."""
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -99,6 +100,19 @@ def test_conductor_series_matches_per_module_counts(model, group):
     for module in modules_up_to_degree(model, order):
         totals[module.degree] += conductor_count(model, group, module)
     assert totals == [int(c) for c in series.coeffs]
+
+
+def test_conductor_series_holds_one_euler_factor_at_a_time():
+    # q = 2, C_2 to order 320 has 160 dense Euler factors of length 321,
+    # about 0.5 MB held together
+    conductor_series(Q2, C2, 320)
+    tracemalloc.start()
+    try:
+        conductor_series(Q2, C2, 320)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000
 
 
 def test_conductor_series_genus2_needs_exceptional_counts():
