@@ -319,6 +319,40 @@ def test_census_streams_its_classes():
     assert peak < 1_000_000
 
 
+def test_walk_state_does_not_grow_with_its_tables():
+    # at (2, 2, 1, 20) the walk has 227 places, and the block table at
+    # infinity alone holds 1,023 entries; it keeps one frame per depth, so
+    # running into the budget costs little more than building its tables
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            oracle_counts(2, 2, 1, 20, budget=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+
+
+@pytest.mark.parametrize("p,k,bound", [(3, 1, 6), (2, 2, 4)])
+def test_classes_of_a_partial_class_come_together(p, k, bound):
+    # the r = 1 census builds its conductor key once per run of classes
+    # that share their blocks; each partial class is one such run, of p
+    # classes, or p - 1 for the empty partial class, which has no zero
+    gf = GF(p, k)
+    runs = [
+        (partial, [rep.constant for rep in group])
+        for partial, group in itertools.groupby(
+            asdist.oracle.iter_classes(gf, bound),
+            key=lambda rep: (rep.infinity, rep.finite),
+        )
+    ]
+    partials = [partial for partial, _ in runs]
+    assert len(set(partials)) == len(partials) > 1
+    for partial, constants in runs:
+        skip = 1 if partial == ((), ()) else 0
+        assert constants == list(gf.coset_reps[skip:])
+
+
 def test_uneven_orbit_split_is_a_consistency_error(monkeypatch):
     from asdist.cli import main
 
@@ -411,7 +445,7 @@ def test_census_matches_span_definition(q, p, r, bound):
 def test_census_matches_series_at_larger_sizes():
     start = time.monotonic()
     for q, p, r, bound in [(2, 2, 2, 8), (3, 3, 2, 4), (2, 2, 3, 6),
-                           (4, 2, 2, 5)]:
+                           (4, 2, 2, 5), (3, 3, 2, 6), (4, 2, 2, 6)]:
         series = conductor_series(
             rational_field(q, p), subgroup_count_poly(p, r), bound
         )
