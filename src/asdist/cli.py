@@ -29,9 +29,9 @@ from .errors import (
     PrecisionError,
     UnsupportedInputError,
 )
-from .field import load_model_file, make_field_model
-from .oracle import counts_by_degree, oracle_counts
-from .tauberian import closed_form_constant, tauberian_constant
+from .field import load_model_file, make_field_model, rational_field
+from .oracle import DEFAULT_BUDGET, counts_by_degree, oracle_counts
+from .tauberian import DEFAULT_PREC_BITS, closed_form_constant, tauberian_constant
 
 _FLOAT_DIGITS = 12
 
@@ -72,15 +72,12 @@ def parse_module(text: str) -> DivisorModule:
 
 
 def _build_model(args):
-    if getattr(args, "model_file", None):
+    if args.model_file:
         return load_model_file(args.model_file)
     l_poly = None
-    if getattr(args, "l_poly", None):
+    if args.l_poly:
         l_poly = [int(x) for x in args.l_poly.split(",")]
-    return make_field_model(
-        args.p, args.q, getattr(args, "genus", 0), l_poly,
-        getattr(args, "clp_order", 1),
-    )
+    return make_field_model(args.p, args.q, args.genus, l_poly, args.clp_order)
 
 
 def _emit(args, payload: dict, rows=None, text_lines=None):
@@ -222,8 +219,6 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    from .field import rational_field
-
     model = rational_field(args.q, args.p)
     group = subgroup_count_poly(args.p, args.r)
     series = conductor_series(model, group, args.bound)
@@ -334,19 +329,19 @@ def build_parser() -> argparse.ArgumentParser:
     common(s)
     s.add_argument("--cutoff", type=int, default=20,
                    help="Euler product degree cutoff")
-    s.add_argument("--prec-bits", type=int, default=200)
+    s.add_argument("--prec-bits", type=int, default=DEFAULT_PREC_BITS)
     s.set_defaults(func=cmd_constant)
 
     s = subs.add_parser("oracle", help="brute-force census over F_q(x)")
     common(s, genus=False)
     s.add_argument("--bound", type=int, default=4)
-    s.add_argument("--budget", type=int, default=10**7)
+    s.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     s.set_defaults(func=cmd_oracle)
 
     s = subs.add_parser("compare", help="series vs brute force (CI entry)")
     common(s, genus=False)
     s.add_argument("--bound", type=int, default=4)
-    s.add_argument("--budget", type=int, default=10**7)
+    s.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     s.set_defaults(func=cmd_compare)
 
     s = subs.add_parser("disc", help="discriminant-count view")

@@ -230,7 +230,9 @@ def exceptional_correction(
     counts = model.exceptional_count_map()
     if module not in counts:
         raise UnsupportedInputError(
-            f"missing exceptional conductor count for {module}"
+            f"missing exceptional conductor count for {module}; counts are "
+            "keyed by the places of abstract_places, where the places of "
+            'degree d have the indices "0", "1", ...'
         )
     return Fraction(counts[module]) - product_count(model, group, module)
 
@@ -273,7 +275,10 @@ def conductor_count(model: FieldModel, group: GroupSpec, module: DivisorModule) 
 
 
 def abstract_places(model: FieldModel, max_degree: int) -> list:
-    """Places as abstract (degree, index) pairs, for module enumeration."""
+    """Places as abstract (degree, index) pairs, for module enumeration.
+    The b_d places of degree d get the indices "0", "1", ..., "b_d - 1".
+    A model's `exceptional_counts` are keyed by modules over these places:
+    a module whose places carry other labels finds no count."""
     counts = model.place_counts(max_degree)
     return [
         Place(d, str(j))

@@ -45,7 +45,7 @@ class MeromorphicModel:
     pole_order: int
     root_count: int  # poles sit among R * xi^{-j}, xi a primitive root of unity
     principal_coeffs: dict  # j -> mpc, only the j of the poles of maximal order
-    principal_exact: dict | None  # same keys, Fractions, when exactly computable
+    principal_exact: dict | None  # same keys, Fractions, when all are rational roots
     prec_bits: int
 
 
@@ -234,8 +234,8 @@ def zeta_factor_poles(
         )
 
 
-def _imag_guard(value, scale, prec_bits):
-    tol = max(mpmath.mpf(2) ** (-prec_bits // 2) * (abs(scale) + 1), mpmath.mpf("1e-30"))
+def _imag_guard(value, prec_bits):
+    tol = max(mpmath.mpf(2) ** (-prec_bits // 2) * (abs(value) + 1), mpmath.mpf("1e-30"))
     if abs(mpmath.im(value)) > tol:
         raise PrecisionError(
             f"prediction has nonvanishing imaginary part {mpmath.im(value)}"
@@ -255,7 +255,7 @@ def predict_coefficients(model: MeromorphicModel, n: int):
             u = model.radius * xi ** (-j)
             s += (-u) ** (-b) * p_j * xi ** (j * n)
         s /= mpmath.factorial(b - 1)
-        s = _imag_guard(s, s, model.prec_bits)
+        s = _imag_guard(s, model.prec_bits)
         return s * model.radius ** (-n) * mpmath.mpf(n) ** (b - 1)
 
 
@@ -269,40 +269,22 @@ def predict_partial_sums(model: MeromorphicModel, m: int) -> AsymptoticEstimate:
         ell = model.root_count
         xi = mpmath.exp(2j * mpmath.pi / ell)
         s = mpmath.mpc(0)
-        exact_ok = model.principal_exact is not None and b == 1
-        s_exact = Fraction(0)
         for j, p_j in model.principal_coeffs.items():
             u = model.radius * xi ** (-j)
             s += (-u) ** (-b) * p_j * xi ** (j * m) / (1 - u)
-            if exact_ok:
-                angle = Fraction(-j, ell) % 1
-                if angle == 0:
-                    u_ex = model.radius_exact
-                elif angle == Fraction(1, 2):
-                    u_ex = -model.radius_exact
-                else:
-                    exact_ok = model.principal_exact[j] == 0
-                    continue
-                if u_ex is None:
-                    exact_ok = False
-                    continue
-                pj_ex = model.principal_exact[j]
-                turn = Fraction(j * m, ell) % 1
-                if turn == 0:
-                    phase = 1
-                elif turn == Fraction(1, 2):
-                    phase = -1
-                else:
-                    exact_ok = pj_ex == 0
-                    continue
-                s_exact += Fraction(-1) ** b * u_ex ** (-b) * pj_ex * phase / (1 - u_ex)
         s /= mpmath.factorial(b - 1)
-        s = _imag_guard(s, s, model.prec_bits)
+        s = _imag_guard(s, model.prec_bits)
         log_scale = mpmath.log(1 / model.radius)
         constant = s / log_scale ** (b - 1)
+        # every pole in principal_exact is a rational root, so it sits at
+        # u = R (j = ell) or u = -R (j = ell/2), with phase xi^(j m) = sign^m
         constant_exact = None
-        if exact_ok and model.radius_exact is not None:
-            constant_exact = s_exact
+        if model.principal_exact is not None and b == 1:
+            constant_exact = Fraction(0)
+            for j, p_j in model.principal_exact.items():
+                sign = 1 if j == ell else -1
+                u = sign * model.radius_exact
+                constant_exact -= p_j * sign**m / (u * (1 - u))
         return AsymptoticEstimate(
             exponent=Fraction(1),
             log_order=b,
@@ -338,30 +320,25 @@ def closed_form_constant(
     """Closed-form asymptotic constant of the conductor counting function,
     available for p = 2 (any rank) and for rank 1 (any p)."""
     p, r = group.p, group.r
+    if p != 2 and r != 1:
+        raise UnsupportedInputError(
+            "closed-form constants exist for p = 2 or rank 1 only; use the "
+            "generic principal-part extraction instead"
+        )
     report = pole_analysis(p, r)
+    a = report.abscissa
     residue_factor = model.zeta_residue_factor()  # log(q) * zeta(1), exact
     e_top = group.e_coeffs[r]
     with mpmath.workprec(prec_bits):
         logq = mpmath.log(model.q)
         if p == 2:
-            zeta_r1 = model.zeta_value(r + 1)
-            c_exact = (
-                e_top
-                * residue_factor
-                / ((1 - Fraction(1, model.q ** (r + 1))) * zeta_r1)
+            constant_exact = e_top * residue_factor / (
+                (1 - Fraction(1, model.q ** (r + 1))) * model.zeta_value(r + 1)
             )
-            return AsymptoticEstimate(
-                exponent=report.abscissa,
-                log_order=1,
-                constant=mpmath.mpf(c_exact.numerator) / c_exact.denominator,
-                constant_exact=c_exact,
-                progression=(2, 0),
-                growth=mpmath.mpf(model.q)
-                ** (mpmath.mpf(report.abscissa.numerator) / report.abscissa.denominator),
-                log_scale=logq,
-            )
-        if r == 1:
-            product, bound = holomorphic_factor_at_abscissa(
+            constant = mpmath.mpf(constant_exact.numerator) / constant_exact.denominator
+        else:
+            constant_exact = None
+            product, _ = holomorphic_factor_at_abscissa(
                 model, p, r, degree_cutoff, prec_bits
             )
             rational_part = (
@@ -379,19 +356,15 @@ def closed_form_constant(
                 * product
                 / logq ** (p - 2)
             )
-            return AsymptoticEstimate(
-                exponent=report.abscissa,
-                log_order=p - 1,
-                constant=constant,
-                constant_exact=None,
-                progression=(1, 0),
-                growth=mpmath.mpf(model.q),
-                log_scale=logq,
-            )
-    raise UnsupportedInputError(
-        "closed-form constants exist for p = 2 or rank 1 only; use the "
-        "generic principal-part extraction instead"
-    )
+        return AsymptoticEstimate(
+            exponent=a,
+            log_order=report.log_order,
+            constant=constant,
+            constant_exact=constant_exact,
+            progression=(2 if p == 2 else 1, 0),
+            growth=mpmath.mpf(model.q) ** (mpmath.mpf(a.numerator) / a.denominator),
+            log_scale=logq,
+        )
 
 
 def tauberian_constant(

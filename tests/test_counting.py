@@ -186,6 +186,14 @@ def test_conductor_count_genus2_labelled_places_need_exceptional_data():
         2, 2, 2, [1, 0, 0, 0, 4], exceptional_counts={small: 5}
     )
     assert conductor_count(supplied, group, small) == 5
+    # the count answers only under the label of abstract_places, and a
+    # miss names that convention
+    relabelled = DivisorModule.from_entries({Place(1, "a"): 2})
+    with pytest.raises(UnsupportedInputError) as info:
+        conductor_count(supplied, group, relabelled)
+    message = str(info.value)
+    assert "missing exceptional conductor count" in message
+    assert "abstract_places" in message and '"0", "1"' in message
 
 
 @pytest.mark.parametrize("genus", [0, 1, 2])

@@ -199,6 +199,15 @@ def test_predict_partial_sums_conductor_closed_form():
     assert est.constant_exact == 2
 
 
+def test_predict_partial_sums_pole_at_angle_one_half():
+    # 1/(1 + 2t) has its one pole at u = -1/2: the partial sums are
+    # 1/3 + (2/3)(-2)^m, so the constant's sign alternates with m
+    model = principal_parts(RationalFunctionT((1,), (1, 2)))
+    for m in (4, 5):
+        est = predict_partial_sums(model, m)
+        assert est.constant_exact == Fraction(2, 3) * (-1) ** m
+
+
 def test_binomial_sum_check_decreases():
     for l, point in [(0, 0.5), (1, 0.5), (2, mpmath.mpc(0, 0.5))]:
         devs = [binomial_sum_check(l, point, m) for m in (10, 20, 40)]
