@@ -8,9 +8,9 @@ place-wise maximum over its nonzero elements.  Everything here is exhaustive
 enumeration over one concrete finite field; it exists to cross-check the
 analytic counts on small inputs.
 
-The classes themselves are built one at a time, by a depth-first walk
-over partial classes (the blocks taken so far, without the constant) and
-the places in normal-form order, which is nondecreasing in degree.  A
+The classes are built by one depth-first walk, iter_partial_classes, over
+partial classes (the blocks taken so far, without the constant) and the
+places in normal-form order, which is nondecreasing in degree.  A
 nonempty local block at a place of degree d has conductor degree at least
 2d, so once the conductor degree left under the bound falls below 2d no
 block fits there or at any later place, and the partial class has no
@@ -19,26 +19,29 @@ finite) and its degree, so each kind and degree gets one table of blocks up
 to the bound, sorted by conductor degree; a place walks a prefix of its
 table, and classes share the block tuples.
 
-The walk keeps one frame per depth: a partial class, the place it is at and
-the position in that place's table.  Its state therefore grows with the
-number of blocks in a class, not with the tables.  A partial class is
-emitted when it is entered, as its p classes one after another (p - 1 for
-the empty one, which leaves out zero).  The walk is a generator, and the
-census counts each class as it is emitted; no list of classes exists.  For
-r = 1 the census keeps one entry per conductor and builds its key once per
-partial class, and for r >= 2 it keeps one coordinate vector per class whose
-pivot coefficient is 1 (below).  At (q, p, r, bound) = (3, 3, 1, 8) the walk
-emits 37,178 classes, which would take 4.1 MB held in a list; the census
-peaks at 0.2 MB and the walk alone at 0.07 MB (tracemalloc), and
-oracle_counts(2, 2, 1, 20, budget=1000) runs into its budget at 1.8 MB,
-mostly the place list and the block tables.
+The walk keeps one frame per depth: a partial class, its conductor, the
+place it is at and the position in that place's table.  Its state therefore
+grows with the number of blocks in a class, not with the tables.  It yields
+each partial class once, when it enters it, with its conductor as ((place
+index, top j + 1), ...); the partial class stands for p classes, one per
+constant (p - 1 for the empty one, which leaves out zero), and the budget
+counts those classes.  Both census paths read the conductor off the walk:
+for r = 1 the census adds p (or p - 1) to that conductor's entry, and for
+r >= 2 it keeps one coordinate vector per class whose pivot coefficient is
+1 (below).  No list of classes exists.  At (q, p, r, bound) = (3, 3, 1, 8)
+the walk stands for 37,178 classes, which would take 4.1 MB held in a list;
+the census peaks at 0.17 MB (tracemalloc).  The place list (each place's
+polynomial, its Place and its block table) is built once per census, by a
+trial-division search over every monic polynomial of degree <= bound // 2,
+so the budget is checked against their number before the search starts.
 
 The normal form is F_p-linear in fixed slots: the constant i*unit gives one
 coordinate i, a term a_j x^j gives the F_p-components of a_j, and a fraction
 h/P^j the components of each coefficient of h.  Adding classes adds these
 coordinates, and a class's conductor at a place is its top index j there,
-plus one.  For r >= 2 the census encodes each class once as a sparse
-coordinate vector and walks reduced row-echelon bases depth first: the
+plus one.  For r >= 2 the census encodes each partial class once as a
+sparse coordinate vector v, whose classes are v + i e_0 (the constant is
+slot 0), and walks reduced row-echelon bases depth first: the
 pivot (lowest nonzero slot) of each basis vector has coefficient 1, pivots
 increase, and every basis vector is zero at the other pivots.  Each
 subspace has exactly one such basis, and all its elements are enumerated
@@ -389,75 +392,89 @@ def _local_blocks(payloads, degree: int, bound: int, p: int) -> list:
     return out
 
 
-def iter_classes(gf, bound: int, budget: int = DEFAULT_BUDGET):
-    """Yield each nonzero normal-form class whose conductor degree is <= bound,
-    once.  Places come in normal-form order (infinity, then finite places by
-    (deg P, P)), so each class is built directly as its ASRep.  The classes
-    of one partial class (its blocks, without the constant) come one after
-    another.  Raises BudgetExceededError instead of yielding a class past
-    the budget."""
+def census_places(gf, bound: int, budget: int = DEFAULT_BUDGET) -> list:
+    """(polynomial, Place, block table) of each place a class of conductor
+    degree <= bound can use, in normal-form order: infinity (polynomial
+    None), then the finite places by (deg P, P).  The search tries every
+    monic polynomial of degree <= bound // 2, so the budget covers them."""
+    candidates = sum(gf.q**d for d in range(1, bound // 2 + 1))
+    if candidates > budget:
+        raise BudgetExceededError(
+            f"the place search ({candidates} polynomials) exceeds the budget {budget}"
+        )
     # the places of one kind and degree share one payload set, hence one
     # block table; the zero payload comes first, as _local_blocks expects
-    places = [(None, _local_blocks(tuple(gf.elements()), 1, bound, gf.p))]
-    doubled = [2]
+    inf_blocks = _local_blocks(tuple(gf.elements()), 1, bound, gf.p)
+    places = [(None, Place(1, "inf"), inf_blocks)]
     tables: dict = {}
-    for poly in irreducibles_up_to(gf, max(bound // 2, 0)):
+    for poly in irreducibles_up_to(gf, bound // 2):
         degree = len(poly) - 1
         if degree not in tables:
             payloads = tuple(
                 poly_trim(tail, gf)
                 for tail in itertools.product(gf.elements(), repeat=degree)
             )
-            payloads = ((),) + tuple(x for x in payloads if x)
             tables[degree] = _local_blocks(payloads, degree, bound, gf.p)
-        places.append((poly, tables[degree]))
-        doubled.append(2 * degree)
+        places.append((poly, Place(degree, _place_key(poly)), tables[degree]))
+    return places
 
+
+def cond_module(places, cond) -> DivisorModule:
+    """The conductor ((place index, top j + 1), ...) as a DivisorModule."""
+    return DivisorModule.from_entries({places[k][1]: mult for k, mult in cond})
+
+
+def iter_partial_classes(gf, places, bound: int, budget: int = DEFAULT_BUDGET):
+    """Yield each partial class (a class's blocks, without its constant) of
+    conductor degree <= bound once, as (infinity, finite, cond): its ASRep
+    fields and its conductor ((index into places, top j + 1), ...).  Its
+    classes take each of gf.coset_reps as constant, but zero for the empty
+    one, and the budget counts them: BudgetExceededError is raised instead
+    of yielding past it."""
     # depth first over partial classes, one frame per depth.  A frame is a
-    # partial class (inf, fin, degree left), the lowest place it may extend
-    # (lo), the place it is at (i) and that place's blocks still to take
-    # (blocks[pos:fit]).  The frame in hand lives in the locals and the
-    # frames below it on the stack.  A frame walks its places deepest
-    # first, each one's blocks in table order, and enters each child (emits
-    # it and walks its frame) before taking the next block.  A place of
-    # degree d fits while 2 * d <= remaining (see the module docstring), and
-    # places come in nondecreasing degree, so the places left to a partial
-    # class are those below a bisect point
-    emitted = 0
-    constants = gf.coset_reps[1:]  # the empty partial class skips zero
-    inf = fin = ()
+    # partial class (inf, fin, cond, degree left), the lowest place it may
+    # extend (lo), the place it is at (i) and that place's blocks still to
+    # take (blocks[pos:fit]).  The frame in hand lives in the locals and
+    # the frames below it on the stack.  A frame walks its places deepest
+    # first, each one's blocks in table order, and enters each child
+    # (yields it and walks its frame) before taking the next block.  A
+    # place of degree d fits while 2 * d <= remaining (see the module
+    # docstring), and places come in nondecreasing degree, so the places
+    # left to a partial class are those below a bisect point
+    doubled = [2 * place.degree for _, place, _ in places]
+    emitted, classes = 0, gf.p - 1  # the empty partial class skips zero
+    inf = fin = cond = ()
     remaining, lo = bound, 0
     i = bisect.bisect_right(doubled, remaining)
     pos = fit = 0
     stack = []
     while True:
-        for constant in constants:
-            emitted += 1
-            if emitted > budget:
-                raise BudgetExceededError(
-                    f"class enumeration exceeded the budget {budget}"
-                )
-            yield ASRep(constant, inf, fin)
-        constants = gf.coset_reps
+        emitted += classes
+        if emitted > budget:
+            raise BudgetExceededError(
+                f"class enumeration exceeded the budget {budget}"
+            )
+        yield inf, fin, cond
+        classes = gf.p
         # the next block: step down the places of the frame in hand, and
         # back to the frame below once it has none left
         while pos == fit:
             i -= 1
             if i >= lo:
-                blocks = places[i][1]
+                blocks = places[i][2]
                 fit = bisect.bisect_right(blocks, remaining, key=_cond_degree)
                 pos = 0
             elif stack:
-                i, pos, fit, blocks, lo, remaining, inf, fin = stack.pop()
+                i, pos, fit, blocks, lo, remaining, inf, fin, cond = stack.pop()
             else:
                 return
         block, cond_degree = blocks[pos]
-        stack.append((i, pos + 1, fit, blocks, lo, remaining, inf, fin))
-        poly = places[i][0]
-        if poly is None:
-            inf = block
+        stack.append((i, pos + 1, fit, blocks, lo, remaining, inf, fin, cond))
+        if i:
+            fin += ((places[i][0], block),)
         else:
-            fin += ((poly, block),)
+            inf = block
+        cond += ((i, block[-1][0] + 1),)
         remaining -= cond_degree
         lo = i + 1
         i = bisect.bisect_right(doubled, remaining, lo)
@@ -465,61 +482,50 @@ def iter_classes(gf, bound: int, budget: int = DEFAULT_BUDGET):
 
 
 def enumerate_classes(gf, bound: int, budget: int = DEFAULT_BUDGET) -> list:
-    """All of iter_classes as a list."""
-    return list(iter_classes(gf, bound, budget))
+    """Every nonzero normal-form class whose conductor degree is <= bound,
+    as a list of ASReps, the classes of each partial class together."""
+    places = census_places(gf, bound, budget)
+    return [
+        ASRep(constant, inf, fin)
+        for inf, fin, cond in iter_partial_classes(gf, places, bound, budget)
+        for constant in (gf.coset_reps if cond else gf.coset_reps[1:])
+    ]
 
 
-def _coordinates(classes, gf):
-    """Each class as (pivot, {slot id: coeff}, conductor), for the classes
-    whose pivot coefficient is 1, in increasing pivot order, with the
-    conductor as ((place id, top j + 1), ...) in place id order; and the
-    Place of each place id.  Slots are numbered in first-seen order, which
-    fixes the pivot order."""
-    constant_index = {c: i for i, c in enumerate(gf.coset_reps)}
+def _coordinates(partials):
+    """The classes with pivot coefficient 1 as (pivot, {slot id: coeff}, cond),
+    in increasing pivot order.  Slot 0 is the constant and the others are
+    numbered in first-seen order, which fixes the pivot order.  Of the
+    classes v + i e_0 of a partial class v, that leaves i = 1, and i = 0
+    when v's own pivot coefficient is 1."""
     slots: dict = {}
-    place_ids: dict = {}
-    places: list = []
-
-    def place_id(key, place):
-        if key not in place_ids:
-            place_ids[key] = len(places)
-            places.append(place)
-        return place_ids[key]
 
     def put(vec, slot, coeff):
         for t, x in enumerate(coeff):
             if x:
-                vec[slots.setdefault(slot + (t,), len(slots))] = x
+                vec[slots.setdefault(slot + (t,), len(slots) + 1)] = x
 
     out = []
-    for rep in classes:
+    for inf, fin, cond in partials:
         vec: dict = {}
-        i = constant_index[rep.constant]
-        if i:
-            vec[slots.setdefault(("const",), len(slots))] = i
-        cond: dict = {}
-        for j, c in rep.infinity:
+        for j, c in inf:
             put(vec, ("inf", j), c)
-        if rep.infinity:
-            cond[place_id("inf", Place(1, "inf"))] = rep.infinity[-1][0] + 1
-        for poly, block in rep.finite:
+        for poly, block in fin:
             for j, h in block:
                 for m, c in enumerate(h):
                     put(vec, (poly, j, m), c)
-            place = Place(len(poly) - 1, _place_key(poly))
-            cond[place_id(poly, place)] = block[-1][0] + 1
-        pivot = min(vec)
-        if vec[pivot] == 1:
-            out.append((pivot, vec, tuple(sorted(cond.items()))))
+        if vec and vec[pivot := min(vec)] == 1:
+            out.append((pivot, vec, cond))
+        out.append((0, {0: 1, **vec}, cond))
     out.sort(key=lambda entry: entry[0])
-    return out, places
+    return out
 
 
-def _subspace_census(classes, gf, r: int, bound: int, budget: int) -> dict:
+def _subspace_census(partials, places, r: int, bound: int, budget: int) -> dict:
     """{DivisorModule: count} of the r-dimensional subspaces with conductor
     degree <= bound, each visited once through its reduced row-echelon
     basis (see the module docstring)."""
-    encoded, places = _coordinates(classes, gf)
+    encoded = _coordinates(partials)
     # conductors are interned: ids index `conductors`, and joins[a, b] is the
     # id of the place-wise max of a and b, or None past the bound
     conductors: list = []
@@ -541,7 +547,7 @@ def _subspace_census(classes, gf, r: int, bound: int, budget: int) -> dict:
             for place, mult in conductors[b]:
                 if mult > merged.get(place, 0):
                     merged[place] = mult
-            degree = sum(places[k].degree * mult for k, mult in merged.items())
+            degree = sum(places[k][1].degree * mult for k, mult in merged.items())
             joins[key] = (
                 intern(tuple(sorted(merged.items()))) if degree <= bound else None
             )
@@ -592,9 +598,7 @@ def _subspace_census(classes, gf, r: int, bound: int, budget: int) -> dict:
         (pivot, vec, intern(cond)) for pivot, vec, cond in encoded
     ])
     return {
-        DivisorModule.from_entries(
-            {places[k]: mult for k, mult in conductors[cond]}
-        ): count
+        cond_module(places, conductors[cond]): count
         for cond, count in counts.items()
     }
 
@@ -614,30 +618,19 @@ def oracle_counts(
     if bound < 0:
         raise ModelError(f"conductor degree bound must be >= 0, got {bound}")
     gf = GF(p, k)
-    classes = iter_classes(gf, bound, budget)
+    places = census_places(gf, bound, budget)
+    partials = iter_partial_classes(gf, places, bound, budget)
     if r > 1:
-        return _subspace_census(classes, gf, r, bound, budget)
-    # the top index at infinity and at each finite place fixes the conductor.
-    # The classes of one partial class share its block tuples and arrive
-    # together, so the key is built once per partial class
-    first: dict = {}
+        return _subspace_census(partials, places, r, bound, budget)
+    # a partial class stands for p classes, or p - 1 for the empty one
     tally: dict = {}
-    inf = fin = None
-    for rep in classes:
-        if rep.infinity is not inf or rep.finite is not fin:
-            inf, fin = rep.infinity, rep.finite
-            # one flat tuple: nested ones leave ~10x the garbage
-            key = [inf[-1][0] if inf else 0]
-            for poly, block in fin:
-                key += poly, block[-1][0]
-            key = tuple(key)
-            first.setdefault(key, rep)
-        tally[key] = tally.get(key, 0) + 1
+    for _, _, cond in partials:
+        tally[cond] = tally.get(cond, 0) + (p if cond else p - 1)
     if any(count % (p - 1) for count in tally.values()):
         raise ConsistencyError(
             "class orbits did not split evenly; enumeration is inconsistent"
         )
-    return {first[key].conductor(): n // (p - 1) for key, n in tally.items()}
+    return {cond_module(places, cond): n // (p - 1) for cond, n in tally.items()}
 
 
 def counts_by_degree(counts: dict, bound: int) -> list:

@@ -275,6 +275,8 @@ def predict_partial_sums(model: MeromorphicModel, m: int) -> AsymptoticEstimate:
         s /= mpmath.factorial(b - 1)
         s = _imag_guard(s, model.prec_bits)
         log_scale = mpmath.log(1 / model.radius)
+        if b >= 2 and not log_scale:
+            raise UnsupportedInputError(f"poles of order {b} on the unit circle")
         constant = s / log_scale ** (b - 1)
         # every pole in principal_exact is a rational root, so it sits at
         # u = R (j = ell) or u = -R (j = ell/2), with phase xi^(j m) = sign^m

@@ -28,6 +28,9 @@ from asdist.oracle import (
     GF,
     ASRep,
     add_reps,
+    census_places,
+    cond_module,
+    iter_partial_classes,
     poly_add,
     poly_mul,
     poly_neg,
@@ -322,11 +325,12 @@ def test_census_streams_its_classes():
 def test_walk_state_does_not_grow_with_its_tables():
     # at (2, 2, 1, 20) the walk has 227 places, and the block table at
     # infinity alone holds 1,023 entries; it keeps one frame per depth, so
-    # running into the budget costs little more than building its tables
+    # running into the budget costs little more than building its tables.
+    # The place search tries 2,046 polynomials, so the budget lets it run
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError):
-            oracle_counts(2, 2, 1, 20, budget=1000)
+            oracle_counts(2, 2, 1, 20, budget=3000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -335,14 +339,14 @@ def test_walk_state_does_not_grow_with_its_tables():
 
 @pytest.mark.parametrize("p,k,bound", [(3, 1, 6), (2, 2, 4)])
 def test_classes_of_a_partial_class_come_together(p, k, bound):
-    # the r = 1 census builds its conductor key once per run of classes
-    # that share their blocks; each partial class is one such run, of p
-    # classes, or p - 1 for the empty partial class, which has no zero
+    # each partial class expands to one run of classes that share its
+    # blocks, of p classes, or p - 1 for the empty partial class, which has
+    # no zero
     gf = GF(p, k)
     runs = [
         (partial, [rep.constant for rep in group])
         for partial, group in itertools.groupby(
-            asdist.oracle.iter_classes(gf, bound),
+            enumerate_classes(gf, bound),
             key=lambda rep: (rep.infinity, rep.finite),
         )
     ]
@@ -353,14 +357,45 @@ def test_classes_of_a_partial_class_come_together(p, k, bound):
         assert constants == list(gf.coset_reps[skip:])
 
 
+@pytest.mark.parametrize("p,k,bound", [(3, 1, 6), (2, 2, 4), (2, 1, 8), (5, 1, 4)])
+def test_walk_conductor_matches_the_class_conductor(p, k, bound):
+    # the census reads each partial class's conductor off the walk; the
+    # reference is ASRep.conductor, which rebuilds it from the blocks
+    gf = GF(p, k)
+    places = census_places(gf, bound)
+    partials = list(iter_partial_classes(gf, places, bound))
+    assert len(partials) > 1
+    for inf, fin, cond in partials:
+        assert cond_module(places, cond) == ASRep(gf.zero, inf, fin).conductor()
+
+
+def test_walk_budget_counts_classes():
+    # (GF(3), 6) has 4,130 classes in 1,377 partial classes (the empty
+    # one stands for 2 classes, the others for 3)
+    gf = GF(3, 1)
+    assert len(enumerate_classes(gf, 6, budget=4130)) == 4130
+    with pytest.raises(BudgetExceededError):
+        enumerate_classes(gf, 6, budget=4129)
+
+
+def test_place_search_is_within_the_budget():
+    # (2, 2, 1, 26) would search all 16,382 monic polynomials of degree
+    # <= 13 by trial division, which takes seconds, before its first class
+    start = time.monotonic()
+    with pytest.raises(BudgetExceededError, match="place search"):
+        oracle_counts(2, 2, 1, 26, budget=1000)
+    assert time.monotonic() - start < 0.5
+
+
 def test_uneven_orbit_split_is_a_consistency_error(monkeypatch):
     from asdist.cli import main
 
-    real = asdist.oracle.iter_classes
-    # dropping one class leaves an odd number in its conductor's orbits
+    real = asdist.oracle.iter_partial_classes
+    # dropping one partial class (p = 3 classes) leaves an odd number in
+    # its conductor's orbits
     monkeypatch.setattr(
-        asdist.oracle, "iter_classes",
-        lambda gf, bound, budget: list(real(gf, bound, budget))[:-1],
+        asdist.oracle, "iter_partial_classes",
+        lambda *args: list(real(*args))[:-1],
     )
     with pytest.raises(ConsistencyError):
         oracle_counts(3, 3, 1, 3)

@@ -208,6 +208,15 @@ def test_predict_partial_sums_pole_at_angle_one_half():
         assert est.constant_exact == Fraction(2, 3) * (-1) ** m
 
 
+def test_predict_partial_sums_rejects_multiple_poles_on_the_unit_circle():
+    # 1/(1 + t^2)^2 has double poles at +-i, where log(1/R) = 0
+    model = principal_parts(RationalFunctionT((1,), (1, 0, 2, 0, 1)))
+    assert model.pole_order == 2
+    for m in (1, 2):
+        with pytest.raises(UnsupportedInputError, match="unit circle"):
+            predict_partial_sums(model, m)
+
+
 def test_binomial_sum_check_decreases():
     for l, point in [(0, 0.5), (1, 0.5), (2, mpmath.mpc(0, 0.5))]:
         devs = [binomial_sum_check(l, point, m) for m in (10, 20, 40)]
