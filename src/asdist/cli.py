@@ -159,8 +159,7 @@ def cmd_poles(args) -> int:
                 ("log_order", report.log_order),
                 ("progression", report.progression)],
           text_lines=[f"abscissa {report.abscissa}, pole order "
-                      f"{report.log_order}, {report.progression} poles on "
-                      "the critical circle"])
+                      f"{report.log_order}, progression {report.progression}"])
     return 0
 
 

@@ -262,7 +262,7 @@ class PoleReport:
 
     abscissa: Fraction
     log_order: int
-    progression: int  # number of equally spaced poles on the circle
+    progression: int  # period l: every pole on the circle is at an angle j/l
     max_order_angles: tuple
 
     @property

@@ -19,21 +19,27 @@ finite) and its degree, so each kind and degree gets one table of blocks up
 to the bound, sorted by conductor degree; a place walks a prefix of its
 table, and classes share the block tuples.
 
-The walk keeps one frame per depth: a partial class, its conductor, the
-place it is at and the position in that place's table.  Its state therefore
-grows with the number of blocks in a class, not with the tables.  It yields
-each partial class once, when it enters it, with its conductor as ((place
-index, top j + 1), ...); the partial class stands for p classes, one per
-constant (p - 1 for the empty one, which leaves out zero), and the budget
-counts those classes.  Both census paths read the conductor off the walk:
-for r = 1 the census adds p (or p - 1) to that conductor's entry, and for
-r >= 2 it keeps one coordinate vector per class whose pivot coefficient is
-1 (below).  No list of classes exists.  At (q, p, r, bound) = (3, 3, 1, 8)
-the walk stands for 37,178 classes, which would take 4.1 MB held in a list;
-the census peaks at 0.17 MB (tracemalloc).  The place list (each place's
-polynomial, its Place and its block table) is built once per census, by a
-trial-division search over every monic polynomial of degree <= bound // 2,
-so the budget is checked against their number before the search starts.
+The walk is depth first: starting from the empty partial class, it yields
+a partial class and then walks each of its children in turn.  A child adds
+one block at a place after the place of the parent's last block.  The
+children come place by place, from the last place in the list down to the
+first such place, and at each place its blocks in table order while their
+conductor degree fits what is left under the bound.  The walk keeps a
+stack of child generators, one per depth, and a partial class with no
+place left that fits gets none, so its state grows with the number of
+blocks in a class, not with the tables.  It yields each partial class once
+with its conductor as ((place index, top j + 1), ...); the partial class
+stands for p classes, one per constant (p - 1 for the empty one, which
+leaves out zero), and the budget counts those classes.
+Both census paths read the conductor off the walk: for r = 1 the census
+adds p (or p - 1) to that conductor's entry, and for r >= 2 it keeps one
+coordinate vector per class whose pivot coefficient is 1 (below).  No list
+of classes exists.  At (q, p, r, bound) = (3, 3, 1, 8) the walk stands for
+37,178 classes, which would take 4.1 MB held in a list; the census peaks at
+0.17 MB (tracemalloc).  The place list (each place's polynomial, its Place
+and its block table) is built once per census, by a trial-division search
+over every monic polynomial of degree <= bound // 2, so the budget is
+checked against their number before the search starts.
 
 The normal form is F_p-linear in fixed slots: the constant i*unit gives one
 coordinate i, a term a_j x^j gives the F_p-components of a_j, and a fraction
@@ -62,7 +68,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import operator
 from dataclasses import dataclass
 
 from .counting import DivisorModule, Place
@@ -70,7 +75,6 @@ from .errors import BudgetExceededError, ConsistencyError, ModelError
 from .field import is_prime, _prime_power_exponent
 
 DEFAULT_BUDGET = 10**7
-_cond_degree = operator.itemgetter(1)
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +428,24 @@ def cond_module(places, cond) -> DivisorModule:
     return DivisorModule.from_entries({places[k][1]: mult for k, mult in cond})
 
 
+def _children(inf, fin, cond, remaining, lo, places, doubled):
+    """The children of one partial class, in walk order, as (inf, fin, cond,
+    degree left, lowest place left): its places from the last down, and each
+    place's blocks in table order while their conductor degree fits."""
+    for i in range(bisect.bisect_right(doubled, remaining, lo) - 1, lo - 1, -1):
+        poly, _, blocks = places[i]
+        for block, degree in blocks:
+            if degree > remaining:
+                break
+            yield (
+                inf if i else block,
+                fin + ((poly, block),) if i else fin,
+                cond + ((i, block[-1][0] + 1),),
+                remaining - degree,
+                i + 1,
+            )
+
+
 def iter_partial_classes(gf, places, bound: int, budget: int = DEFAULT_BUDGET):
     """Yield each partial class (a class's blocks, without its constant) of
     conductor degree <= bound once, as (infinity, finite, cond): its ASRep
@@ -431,54 +453,29 @@ def iter_partial_classes(gf, places, bound: int, budget: int = DEFAULT_BUDGET):
     classes take each of gf.coset_reps as constant, but zero for the empty
     one, and the budget counts them: BudgetExceededError is raised instead
     of yielding past it."""
-    # depth first over partial classes, one frame per depth.  A frame is a
-    # partial class (inf, fin, cond, degree left), the lowest place it may
-    # extend (lo), the place it is at (i) and that place's blocks still to
-    # take (blocks[pos:fit]).  The frame in hand lives in the locals and
-    # the frames below it on the stack.  A frame walks its places deepest
-    # first, each one's blocks in table order, and enters each child
-    # (yields it and walks its frame) before taking the next block.  A
-    # place of degree d fits while 2 * d <= remaining (see the module
-    # docstring), and places come in nondecreasing degree, so the places
-    # left to a partial class are those below a bisect point
-    doubled = [2 * place.degree for _, place, _ in places]
+    # depth first, one generator of children per depth.  A place of degree
+    # d fits while 2 * d <= remaining (see the module docstring); doubled
+    # ends in bound + 1, which no degree left reaches, so a child of the
+    # last place has no places left and, like every leaf, gets no generator
+    doubled = [2 * place.degree for _, place, _ in places] + [bound + 1]
     emitted, classes = 0, gf.p - 1  # the empty partial class skips zero
-    inf = fin = cond = ()
-    remaining, lo = bound, 0
-    i = bisect.bisect_right(doubled, remaining)
-    pos = fit = 0
-    stack = []
-    while True:
-        emitted += classes
-        if emitted > budget:
-            raise BudgetExceededError(
-                f"class enumeration exceeded the budget {budget}"
-            )
-        yield inf, fin, cond
-        classes = gf.p
-        # the next block: step down the places of the frame in hand, and
-        # back to the frame below once it has none left
-        while pos == fit:
-            i -= 1
-            if i >= lo:
-                blocks = places[i][2]
-                fit = bisect.bisect_right(blocks, remaining, key=_cond_degree)
-                pos = 0
-            elif stack:
-                i, pos, fit, blocks, lo, remaining, inf, fin, cond = stack.pop()
-            else:
-                return
-        block, cond_degree = blocks[pos]
-        stack.append((i, pos + 1, fit, blocks, lo, remaining, inf, fin, cond))
-        if i:
-            fin += ((places[i][0], block),)
+    stack = [iter([((), (), (), bound, 0)])]
+    while stack:
+        for inf, fin, cond, remaining, lo in stack[-1]:
+            emitted += classes
+            if emitted > budget:
+                raise BudgetExceededError(
+                    f"class enumeration exceeded the budget {budget}"
+                )
+            yield inf, fin, cond
+            classes = gf.p
+            if doubled[lo] <= remaining:
+                stack.append(
+                    _children(inf, fin, cond, remaining, lo, places, doubled)
+                )
+                break
         else:
-            inf = block
-        cond += ((i, block[-1][0] + 1),)
-        remaining -= cond_degree
-        lo = i + 1
-        i = bisect.bisect_right(doubled, remaining, lo)
-        pos = fit = 0
+            stack.pop()
 
 
 def enumerate_classes(gf, bound: int, budget: int = DEFAULT_BUDGET) -> list:

@@ -145,11 +145,6 @@ class TruncatedSeries:
             cs[power] = coeff
         return TruncatedSeries(tuple(cs))
 
-    def coeff(self, n: int) -> Scalar:
-        if n < 0 or n > self.order:
-            raise IndexError(f"coefficient {n} outside stored order {self.order}")
-        return self.coeffs[n]
-
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
             raise ValueError("cannot extend a truncated series")

@@ -80,9 +80,8 @@ def test_conductor_command(capsys):
 def test_poles_command(capsys):
     code, out, _ = run(capsys, "poles", "--q", "3", "--p", "3")
     assert code == 0
-    assert out.strip() == (
-        "abscissa 1, pole order 2, 6 poles on the critical circle"
-    )
+    # the period of the angles, not a count: 4 of the 6 are poles
+    assert out.strip() == "abscissa 1, pole order 2, progression 6"
 
 
 def test_constant_command(capsys):

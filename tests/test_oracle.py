@@ -324,8 +324,9 @@ def test_census_streams_its_classes():
 
 def test_walk_state_does_not_grow_with_its_tables():
     # at (2, 2, 1, 20) the walk has 227 places, and the block table at
-    # infinity alone holds 1,023 entries; it keeps one frame per depth, so
-    # running into the budget costs little more than building its tables.
+    # infinity alone holds 1,023 entries; it keeps one child generator per
+    # depth, so running into the budget costs little more than building its
+    # tables.
     # The place search tries 2,046 polynomials, so the budget lets it run
     tracemalloc.start()
     try:
@@ -367,6 +368,61 @@ def test_walk_conductor_matches_the_class_conductor(p, k, bound):
     assert len(partials) > 1
     for inf, fin, cond in partials:
         assert cond_module(places, cond) == ASRep(gf.zero, inf, fin).conductor()
+
+
+def reference_walk(gf, places, bound, budget):
+    """The walk order of the oracle module docstring as a plain recursive
+    generator: a partial class, then the walk of each child, the children
+    from the last place down to the one after the last block's place and,
+    at each place, its blocks in table order while they fit."""
+    emitted = 0
+
+    def walk(inf, fin, cond, remaining, lo):
+        nonlocal emitted
+        emitted += gf.p if cond else gf.p - 1
+        if emitted > budget:
+            raise BudgetExceededError("reference walk")
+        yield inf, fin, cond
+        for i in range(len(places) - 1, lo - 1, -1):
+            poly, _, blocks = places[i]
+            for block, degree in blocks:
+                if degree <= remaining:
+                    yield from walk(
+                        inf if i else block,
+                        fin + ((poly, block),) if i else fin,
+                        cond + ((i, block[-1][0] + 1),),
+                        remaining - degree,
+                        i + 1,
+                    )
+
+    return walk((), (), (), bound, 0)
+
+
+@pytest.mark.parametrize("p,k,bound", [(2, 1, 10), (3, 1, 8), (2, 2, 6), (5, 1, 4)])
+def test_walk_order_matches_the_reference(p, k, bound):
+    # _coordinates numbers its slots in first-seen order, so the walk order
+    # fixes the pivot order and how much budget the r >= 2 census uses
+    gf = GF(p, k)
+    places = census_places(gf, bound)
+    walked = list(iter_partial_classes(gf, places, bound))
+    assert len(walked) > 1
+    assert walked == list(reference_walk(gf, places, bound, 10**7))
+
+
+def test_walk_stops_where_the_reference_does():
+    # (GF(3), 6) has 4,130 classes, so a budget of 4,129 stops on the last
+    def yielded_before_budget(walk):
+        n = 0
+        with pytest.raises(BudgetExceededError):
+            for _ in walk:
+                n += 1
+        return n
+
+    gf = GF(3, 1)
+    places = census_places(gf, 6)
+    n = yielded_before_budget(iter_partial_classes(gf, places, 6, 4129))
+    assert n == yielded_before_budget(reference_walk(gf, places, 6, 4129))
+    assert n == 1376
 
 
 def test_walk_budget_counts_classes():
