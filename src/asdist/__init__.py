@@ -22,11 +22,8 @@ try:
         Place,
         conductor_count,
         exceptional_modules,
-        modules_up_to_degree,
         product_count,
-        selmer_trivial,
         subgroup_count_poly,
-        unit_group_size,
         wild_exponent,
     )
     from .dirichlet import (
@@ -37,10 +34,8 @@ try:
         discriminant_view,
         error_term_series,
         euler_component_series,
-        euler_factor_closed_form_check,
         exponent_comparison,
         holomorphic_factor_at_abscissa,
-        holomorphic_factor_series,
         holomorphic_factor_value,
         pole_analysis,
         zeta_factor_rational,
@@ -64,17 +59,13 @@ try:
         counts_by_degree,
         enumerate_classes,
         irreducibles_up_to,
-        normalize_rational,
         oracle_counts,
     )
-    from .series import TruncatedSeries, geometric
+    from .series import TruncatedSeries
     from .tauberian import (
         AsymptoticEstimate,
         MeromorphicModel,
-        binomial_sum_check,
         closed_form_constant,
-        empirical_ratio,
-        predict_coefficients,
         predict_partial_sums,
         principal_parts,
         tauberian_constant,

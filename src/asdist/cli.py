@@ -33,6 +33,13 @@ from .field import load_model_file, make_field_model, rational_field
 from .oracle import DEFAULT_BUDGET, counts_by_degree, oracle_counts
 from .tauberian import DEFAULT_PREC_BITS, closed_form_constant, tauberian_constant
 
+# ceilings on --order, --cutoff and --prec-bits, so that a mistyped value
+# exits 2 at once instead of running for hours; at its ceiling a command on
+# a small field takes seconds (series --q 2 --p 2 --order 2000 about 2 s)
+MAX_ORDER = 2000
+MAX_CUTOFF = 200
+MAX_PREC_BITS = 10_000
+
 _FLOAT_DIGITS = 12
 
 
@@ -355,6 +362,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for flag, ceiling in (("order", MAX_ORDER), ("cutoff", MAX_CUTOFF),
+                              ("prec_bits", MAX_PREC_BITS)):
+            value = getattr(args, flag, 0)  # 0 where a command lacks the flag
+            if value > ceiling:
+                raise ValueError(f"--{flag.replace('_', '-')} must be <= "
+                                 f"{ceiling}, got {value}")
         return args.func(args)
     except (ModelError, UnsupportedInputError, BudgetExceededError,
             ValueError) as exc:

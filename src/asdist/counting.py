@@ -1,8 +1,8 @@
 """Per-conductor counting of elementary abelian p-extensions.
 
 Contains the subgroup-counting polynomial of the target group, the wild
-ramification exponents, the Selmer triviality criterion, the finite
-exceptional module set, and the count of extensions with a given conductor.
+ramification exponents, the finite exceptional module set, and the count of
+extensions with a given conductor.
 """
 from __future__ import annotations
 
@@ -160,22 +160,6 @@ def wild_exponent(m: int, p: int) -> int:
     return m - 1 - (m - 1) // p
 
 
-def unit_group_size(model: FieldModel, module: DivisorModule) -> int:
-    """|U_m| = prod over p^m || m of N(p)^{r_m}."""
-    size = 1
-    for place, mult in module.entries:
-        size *= model.q ** (place.degree * wild_exponent(mult, model.p))
-    return size
-
-
-def selmer_trivial(model: FieldModel, module: DivisorModule) -> bool:
-    """Sufficient criterion for triviality of the Selmer ray group: the
-    square part of the module is large against the genus.  A False return
-    makes no claim of nontriviality."""
-    weight = sum((mult - 1) * place.degree for place, mult in module.entries)
-    return weight > 2 * model.genus - 2
-
-
 def exceptional_modules(model: FieldModel) -> frozenset:
     """The finite set M: the trivial module plus, for genus >= 2, all
     squareful modules supported on primes of degree <= 2g-2 with
@@ -285,22 +269,3 @@ def abstract_places(model: FieldModel, max_degree: int) -> list:
         for d in range(1, max_degree + 1)
         for j in range(counts[d - 1])
     ]
-
-
-def modules_up_to_degree(model: FieldModel, max_degree: int) -> Iterator[DivisorModule]:
-    """All abstract modules of degree <= max_degree (including the trivial one)."""
-    places = abstract_places(model, max_degree)
-
-    def walk(idx: int, budget: int, chosen: tuple):
-        yield DivisorModule(chosen)
-        for i in range(idx, len(places)):
-            place = places[i]
-            max_mult = budget // place.degree
-            for mult in range(1, max_mult + 1):
-                yield from walk(
-                    i + 1,
-                    budget - mult * place.degree,
-                    chosen + ((place, mult),),
-                )
-
-    yield from walk(0, max_degree, ())

@@ -172,21 +172,6 @@ def _holomorphic_factor_terms(q: int, d: int, p: int, r: int):
     return [prime_term(q, d, l * r, l + 1) for l in range(p - 1)]
 
 
-def holomorphic_factor_series(
-    model: FieldModel, p: int, r: int, order: int
-) -> TruncatedSeries:
-    """Truncated series of the holomorphic factor of the factorization."""
-    counts = model.place_counts(order) if order >= 1 else []
-    # (1 + sum m) then each (1 - m), one prime at a time
-    factors = (
-        (_one_plus(part), b_d)
-        for d, b_d in enumerate(counts, start=1)
-        for terms in [_holomorphic_factor_terms(model.q, d, p, r)]
-        for part in [terms] + [[(w, -c)] for w, c in terms]
-    )
-    return TruncatedSeries(euler_product(factors, order))
-
-
 def holomorphic_factor_value(
     model: FieldModel, p: int, r: int, point, degree_cutoff: int, prec_bits: int = 200
 ):
@@ -237,20 +222,6 @@ def holomorphic_factor_at_abscissa(
         )
         bound = abs(total) * (mpmath.exp(tail_log) - 1)
         return total, bound
-
-
-def euler_factor_closed_form_check(
-    q: int, d: int, p: int, r: int, order: int
-) -> bool:
-    """Check that the direct sum form of the top Euler factor equals its
-    closed meromorphic form as truncated series."""
-    power, coeff = prime_term(q, d, (p - 1) * r, p)
-    closed = euler_product(
-        [(_one_plus([(power, -coeff)]), -1), (_one_plus([(d, -1)]), 1),
-         (_one_plus(_holomorphic_factor_terms(q, d, p, r)), 1)],
-        order,
-    )
-    return _euler_factor_component(q, d, r, p, order) == closed
 
 
 # ---------------------------------------------------------------------------

@@ -184,37 +184,6 @@ def poly_trim(poly, gf):
     return tuple(poly)
 
 
-def poly_add(a, b, gf):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = gf.add(out[i], c)
-    return poly_trim(out, gf)
-
-
-def poly_neg(a, gf):
-    return tuple(gf.neg(c) for c in a)
-
-
-def poly_scale(a, c, gf):
-    if c == gf.zero:
-        return ()
-    return tuple(gf.mul(x, c) for x in a)
-
-
-def poly_mul(a, b, gf):
-    if not a or not b:
-        return ()
-    out = [gf.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x != gf.zero:
-            for j, y in enumerate(b):
-                if y != gf.zero:
-                    out[i + j] = gf.add(out[i + j], gf.mul(x, y))
-    return poly_trim(out, gf)
-
-
 def poly_divmod(a, b, gf):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
@@ -237,30 +206,6 @@ def poly_mod(a, b, gf):
     return poly_divmod(a, b, gf)[1]
 
 
-def poly_pow_mod(a, e: int, m, gf):
-    result = (gf.one,)
-    base = poly_mod(a, m, gf)
-    while e:
-        if e & 1:
-            result = poly_mod(poly_mul(result, base, gf), m, gf)
-        base = poly_mod(poly_mul(base, base, gf), m, gf)
-        e >>= 1
-    return result
-
-
-def poly_inv_mod(a, m, gf):
-    """Inverse of a modulo m in GF[x], by the extended Euclidean algorithm."""
-    r0, r1 = m, poly_mod(a, m, gf)
-    s0, s1 = (), (gf.one,)
-    while r1:
-        q, rem = poly_divmod(r0, r1, gf)
-        r0, r1 = r1, rem
-        s0, s1 = s1, poly_add(s0, poly_neg(poly_mul(q, s1, gf), gf), gf)
-    if len(r0) != 1:
-        raise ZeroDivisionError("element not invertible modulo m")
-    return poly_scale(s0, gf.inv(r0[0]), gf)
-
-
 def monic_polys(gf, degree: int):
     for tail in itertools.product(gf.elements(), repeat=degree):
         yield poly_trim(list(tail) + [gf.one], gf)
@@ -279,20 +224,6 @@ def irreducibles_up_to(gf, max_degree: int) -> list:
                 continue
             found.append(cand)
     return found
-
-
-def residue_pth_root(c, modulus, gf):
-    """p-th root in the residue field GF[x]/modulus."""
-    deg = len(modulus) - 1
-    return poly_pow_mod(c, gf.p ** (gf.k * deg - 1), modulus, gf)
-
-
-def _padic_digits(poly, base, gf):
-    digits = []
-    while poly:
-        poly, rem = poly_divmod(poly, base, gf)
-        digits.append(rem)
-    return digits
 
 
 # ---------------------------------------------------------------------------
@@ -329,49 +260,6 @@ class ASRep:
             place = Place(len(poly) - 1, _place_key(poly))
             entries[place] = max(j for j, _ in block) + 1
         return DivisorModule.from_entries(entries)
-
-
-def add_reps(a: ASRep, b: ASRep, gf) -> ASRep:
-    constant = gf.add(a.constant, b.constant)
-    inf = dict(a.infinity)
-    for j, c in b.infinity:
-        s = gf.add(inf.get(j, gf.zero), c)
-        if s == gf.zero:
-            inf.pop(j, None)
-        else:
-            inf[j] = s
-    fin = {poly: dict(block) for poly, block in a.finite}
-    for poly, block in b.finite:
-        dest = fin.setdefault(poly, {})
-        for j, h in block:
-            s = poly_add(dest.get(j, ()), h, gf)
-            if s:
-                dest[j] = s
-            else:
-                dest.pop(j, None)
-    return _pack(constant, inf, fin)
-
-
-def scale_rep(a: ASRep, c: int, gf) -> ASRep:
-    c %= gf.p
-    if c == 0:
-        return ASRep(gf.zero, (), ())
-    constant = gf.scalar_mul(c, a.constant)
-    inf = {j: gf.scalar_mul(c, x) for j, x in a.infinity}
-    fin = {
-        poly: {j: poly_scale(h, gf.scalar_mul(c, gf.one), gf) for j, h in block}
-        for poly, block in a.finite
-    }
-    return _pack(constant, inf, fin)
-
-
-def _pack(constant, inf: dict, fin: dict) -> ASRep:
-    finite = tuple(
-        (poly, tuple(sorted(block.items())))
-        for poly, block in sorted(fin.items(), key=lambda kv: (len(kv[0]), kv[0]))
-        if block
-    )
-    return ASRep(constant, tuple(sorted(inf.items())), finite)
 
 
 # ---------------------------------------------------------------------------
@@ -637,111 +525,3 @@ def counts_by_degree(counts: dict, bound: int) -> list:
         if module.degree <= bound:
             out[module.degree] += count
     return out
-
-
-# ---------------------------------------------------------------------------
-# normalization of arbitrary rational functions (for spot checks)
-
-def normalize_rational(gf, num, den) -> ASRep:
-    """Normal form of num/den in F_q(x): partial fractions, then reduction
-    of every p-divisible denominator index and polynomial degree."""
-    num = poly_trim(num, gf)
-    den = poly_trim(den, gf)
-    if not den:
-        raise ZeroDivisionError("zero denominator")
-    lead = den[-1]
-    if lead != gf.one:
-        inv = gf.inv(lead)
-        den = poly_scale(den, inv, gf)
-        num = poly_scale(num, inv, gf)
-    quot, rem = poly_divmod(num, den, gf)
-
-    # factor the monic denominator by trial division up to half the degree
-    # of what is left; a leftover of degree >= 1 is then irreducible
-    factors: dict = {}
-    rest = den
-    for cand in irreducibles_up_to(gf, (len(den) - 1) // 2):
-        if 2 * (len(cand) - 1) > len(rest) - 1:
-            break
-        while not poly_mod(rest, cand, gf):
-            rest = poly_divmod(rest, cand, gf)[0]
-            factors[cand] = factors.get(cand, 0) + 1
-    if len(rest) > 1:
-        factors[rest] = 1
-
-    fin: dict = {}
-    for poly, mult in factors.items():
-        power = (gf.one,)
-        for _ in range(mult):
-            power = poly_mul(power, poly, gf)
-        cofactor = poly_divmod(den, power, gf)[0]
-        h = poly_mod(
-            poly_mul(rem, poly_inv_mod(cofactor, power, gf), gf), power, gf
-        )
-        digits = _padic_digits(h, poly, gf)
-        block = {}
-        for i, digit in enumerate(digits):
-            if digit and mult - i >= 1:
-                block[mult - i] = digit
-        leftover = _reduce_finite_block(block, poly, gf)
-        if block:
-            fin[poly] = block
-        if 0 in block:
-            raise AssertionError("index 0 must not survive reduction")
-        quot = poly_add(quot, leftover, gf)
-
-    # reduce the polynomial part at infinity
-    poly_part = list(quot) + [gf.zero]
-    while True:
-        top = None
-        for j in range(len(poly_part) - 1, 0, -1):
-            if j % gf.p == 0 and poly_part[j] != gf.zero:
-                top = j
-                break
-        if top is None:
-            break
-        root = gf.pth_root(poly_part[top])
-        poly_part[top] = gf.zero
-        poly_part[top // gf.p] = gf.add(poly_part[top // gf.p], root)
-    inf = {
-        j: c for j, c in enumerate(poly_part) if j >= 1 and c != gf.zero
-    }
-    constant = gf.coset_rep(poly_part[0] if poly_part else gf.zero)
-    return _pack(constant, inf, fin)
-
-
-def _reduce_finite_block(block: dict, modulus, gf):
-    """In-place removal of p-divisible indices; returns the polynomial
-    overflow (always zero in theory, kept for safety)."""
-    leftover = ()
-    while True:
-        bad = [j for j in block if j % gf.p == 0]
-        if not bad:
-            return leftover
-        j = max(bad)
-        c = block.pop(j)
-        root = residue_pth_root(c, modulus, gf)
-        root_p = root
-        for _ in range(gf.p - 1):
-            root_p = poly_mul(root_p, root, gf)
-        digits = _padic_digits(root_p, modulus, gf)
-        # root^p / P^j cancels c / P^j in its leading digit and spreads the
-        # higher digits to lower indices
-        for i in range(1, len(digits)):
-            if not digits[i]:
-                continue
-            idx = j - i
-            if idx == 0:
-                leftover = poly_add(leftover, poly_neg(digits[i], gf), gf)
-                continue
-            s = poly_add(block.get(idx, ()), poly_neg(digits[i], gf), gf)
-            if s:
-                block[idx] = s
-            else:
-                block.pop(idx, None)
-        target = j // gf.p
-        s = poly_add(block.get(target, ()), root, gf)
-        if s:
-            block[target] = s
-        else:
-            block.pop(target, None)

@@ -245,12 +245,3 @@ class TruncatedSeries:
         shown = ", ".join(str(c) for c in self.coeffs[:8])
         tail = ", ..." if self.order > 7 else ""
         return f"TruncatedSeries([{shown}{tail}]; order={self.order})"
-
-
-def geometric(ratio: Scalar, order: int) -> TruncatedSeries:
-    """Series of 1/(1 - ratio * t)."""
-    cs, acc = [], 1
-    for _ in range(order + 1):
-        cs.append(acc)
-        acc *= ratio
-    return TruncatedSeries(tuple(cs))

@@ -1,8 +1,8 @@
 """Coefficient asymptotics from poles on the circle of convergence.
 
 Generic machinery: locate the minimal-modulus poles of a rational function,
-extract their leading principal-part coefficients, and predict coefficients
-and partial sums along the induced arithmetic progression.  `principal_parts`
+extract their leading principal-part coefficients, and predict the
+partial sums along the induced arithmetic progression.  `principal_parts`
 does this for any rational function, from an exact factorisation of its
 denominator (the one use of `sympy`).  The zeta factor of the conductor
 series needs no factorisation: its denominator is a product of known
@@ -30,7 +30,6 @@ from .dirichlet import (
 )
 from .errors import ConsistencyError, PrecisionError, UnsupportedInputError
 from .field import FieldModel
-from .series import TruncatedSeries
 
 DEFAULT_PREC_BITS = 200
 
@@ -243,22 +242,6 @@ def _imag_guard(value, prec_bits):
     return mpmath.re(value)
 
 
-def predict_coefficients(model: MeromorphicModel, n: int):
-    """Leading-term prediction of the n-th series coefficient."""
-    if n < 1:
-        raise ValueError("prediction needs n >= 1")
-    with mpmath.workprec(model.prec_bits):
-        b = model.pole_order
-        xi = mpmath.exp(2j * mpmath.pi / model.root_count)
-        s = mpmath.mpc(0)
-        for j, p_j in model.principal_coeffs.items():
-            u = model.radius * xi ** (-j)
-            s += (-u) ** (-b) * p_j * xi ** (j * n)
-        s /= mpmath.factorial(b - 1)
-        s = _imag_guard(s, model.prec_bits)
-        return s * model.radius ** (-n) * mpmath.mpf(n) ** (b - 1)
-
-
 def predict_partial_sums(model: MeromorphicModel, m: int) -> AsymptoticEstimate:
     """Leading-term model of the coefficient partial sums along the
     progression class of m."""
@@ -296,21 +279,6 @@ def predict_partial_sums(model: MeromorphicModel, m: int) -> AsymptoticEstimate:
             growth=1 / model.radius,
             log_scale=log_scale,
         )
-
-
-def binomial_sum_check(l: int, t_on_circle, m: int, prec_bits: int = DEFAULT_PREC_BITS):
-    """Deviation ratio of the binomial partial-sum approximation at a point
-    on the circle |t| = R < 1: should trend to 0 as m grows."""
-    with mpmath.workprec(prec_bits):
-        t = mpmath.mpmathify(t_on_circle)
-        radius = abs(t)
-        if not radius < 1:
-            raise ValueError("the point must satisfy |t| < 1")
-        lhs = mpmath.mpc(0)
-        for n in range(m + 1):
-            lhs += mpmath.binomial(n + l, l) * t ** (-n)
-        main = t ** (-m) * mpmath.mpf(m) ** l / (mpmath.factorial(l) * (1 - t))
-        return abs(lhs - main) / (radius ** (-m) * mpmath.mpf(m) ** l)
 
 
 def closed_form_constant(
@@ -397,15 +365,3 @@ def tauberian_constant(
             exponent=pole_analysis(p, r).abscissa,
             log_scale=mpmath.log(model.q),
         )
-
-
-def empirical_ratio(series: TruncatedSeries, estimate: AsymptoticEstimate, n: int):
-    """(partial sum at n) / (predicted value at n), for convergence checks
-    along the progression."""
-    ell, e = estimate.progression
-    if n % ell != e % ell:
-        raise ValueError(f"index {n} is off the progression {e} mod {ell}")
-    partial = series.partial_sum(n)
-    with mpmath.workprec(max(getattr(estimate.constant, "context", mpmath.mp).prec, 64)):
-        numer = mpmath.mpf(partial.numerator) / partial.denominator
-        return numer / estimate.value(n)

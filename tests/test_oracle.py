@@ -14,28 +14,31 @@ from asdist import (
     ConsistencyError,
     DivisorModule,
     Place,
+    conductor_count,
     conductor_series,
     counts_by_degree,
     enumerate_classes,
     irreducibles_up_to,
-    normalize_rational,
     oracle_counts,
     rational_field,
     subgroup_count_poly,
-    unit_group_size,
 )
 from asdist.oracle import (
     GF,
     ASRep,
-    add_reps,
     census_places,
     cond_module,
     iter_partial_classes,
+    poly_trim,
+)
+from reference_impl import (
+    add_reps,
+    normalize_rational,
     poly_add,
     poly_mul,
     poly_neg,
-    poly_trim,
     scale_rep,
+    unit_group_size,
 )
 
 
@@ -484,6 +487,22 @@ def test_oracle_counts_match_series(q, p, r, bound):
     series = conductor_series(model, group, bound)
     got = counts_by_degree(oracle_counts(q, p, r, bound), bound)
     assert got == [int(c) for c in series.coeffs]
+
+
+@pytest.mark.parametrize("q,p,r,bound", [
+    (2, 2, 1, 8), (3, 3, 1, 6), (4, 2, 1, 5), (5, 5, 1, 4), (9, 3, 1, 4),
+    (2, 2, 2, 7), (3, 3, 2, 5), (4, 2, 2, 5), (2, 2, 3, 6),
+])
+def test_census_matches_conductor_count_per_module(q, p, r, bound):
+    # per module, not per degree: errors that cancel between the modules
+    # of one degree would leave the totals equal
+    model = rational_field(q, p)
+    group = subgroup_count_poly(p, r)
+    counts = oracle_counts(q, p, r, bound)
+    assert len({module.degree for module in counts}) < len(counts)
+    assert counts == {
+        module: conductor_count(model, group, module) for module in counts
+    }
 
 
 def _span_census(q, p, r, bound):

