@@ -1,9 +1,13 @@
 """Command-line front-end.
 
-Every computation in the library is reachable through one subcommand.  Output
-goes to stdout in one of three formats: human-readable text (default), JSON
-with a fixed schema, or TSV.  Exit codes: 0 success, 1 compare mismatch,
-2 invalid input, 3 internal consistency failure.
+Every computation in the library is reachable through one subcommand, listed
+in one table.  Every command prints through one emitter, to stdout, in one of
+three formats: human-readable text (default), TSV, or JSON with a fixed schema
+(`command`, `model`, `group`, `data`, `meta`), where `meta.order` holds
+`--order` or `--bound`.  Exit codes: 0 success, 1 compare mismatch, 2 invalid
+input, 3 internal consistency failure.  Invalid input includes a `q` that is
+not a power of `p` (for every command), a `--model-file` that cannot be read,
+and one whose `p` or `q` differs from `--p` or `--q`.
 """
 from __future__ import annotations
 
@@ -11,6 +15,7 @@ import argparse
 import gc
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 import mpmath
@@ -78,196 +83,151 @@ def parse_module(text: str) -> DivisorModule:
     return DivisorModule.from_entries(entries)
 
 
-def _build_model(args):
+def _inputs(args):
+    """The model of the field flags (or of `--model-file`, whose p and q must
+    match them), then the group, so that a bad field is reported first."""
     if args.model_file:
-        return load_model_file(args.model_file)
-    l_poly = None
-    if args.l_poly:
-        l_poly = [int(x) for x in args.l_poly.split(",")]
-    return make_field_model(args.p, args.q, args.genus, l_poly, args.clp_order)
+        model = load_model_file(args.model_file)
+        if (model.p, model.q) != (args.p, args.q):
+            raise ModelError(f"the model file has p = {model.p}, q = {model.q}, "
+                             f"but --p {args.p} --q {args.q} was given")
+    else:
+        l_poly = None
+        if args.l_poly:
+            l_poly = [int(x) for x in args.l_poly.split(",")]
+        model = make_field_model(args.p, args.q, args.genus, l_poly, args.clp_order)
+    return model, subgroup_count_poly(args.p, args.r)
 
 
-def _emit(args, payload: dict, rows=None, text_lines=None):
-    fmt = args.format
-    if fmt == "json":
+def _emit(args, data, rows, text_lines, model=None, meta=None) -> int:
+    """Print one result, `data` in the fixed JSON schema, the `(n, value)`
+    rows as TSV or the text lines, and return the exit code 0."""
+    if args.format == "json":
+        payload = {
+            "command": args.command,
+            "model": model,
+            "group": {"p": args.p, "r": args.r},
+            "data": data,
+            "meta": {
+                "order": getattr(args, "order", getattr(args, "bound", None)),
+                "precision_bits": getattr(args, "prec_bits", None),
+                **(meta or {}),
+            },
+        }
         print(json.dumps(_jsonable(payload), sort_keys=True, separators=(",", ":")))
-    elif fmt == "tsv":
+    elif args.format == "tsv":
         print("n\tvalue")
-        for n, value in rows or []:
+        for n, value in rows:
             print(f"{n}\t{_jsonable(value)}")
     else:
-        for line in text_lines or []:
+        for line in text_lines:
             print(line)
-
-
-def _base_payload(command, args, model, order=None):
-    return {
-        "command": command,
-        "model": model.describe() if model else None,
-        "group": {"p": args.p, "r": args.r},
-        "data": [],
-        "meta": {
-            "order": order,
-            "precision_bits": getattr(args, "prec_bits", None),
-        },
-    }
+    return 0
 
 
 def cmd_series(args) -> int:
-    model = _build_model(args)
-    group = subgroup_count_poly(args.p, args.r)
-    series = conductor_series(model, group, args.order)
-    coeffs = [int(c) for c in series.coeffs]
-    payload = _base_payload("series", args, model, args.order)
-    payload["data"] = coeffs
-    _emit(args, payload, rows=list(enumerate(coeffs)),
-          text_lines=["coefficients " + ",".join(str(c) for c in coeffs)])
-    return 0
+    model, group = _inputs(args)
+    coeffs = [int(c) for c in conductor_series(model, group, args.order).coeffs]
+    return _emit(args, coeffs, enumerate(coeffs),
+                 ["coefficients " + ",".join(str(c) for c in coeffs)],
+                 model.describe())
 
 
 def cmd_count(args) -> int:
-    model = _build_model(args)
-    group = subgroup_count_poly(args.p, args.r)
+    model, group = _inputs(args)
     sums = counting_function(model, group, args.order)
-    payload = _base_payload("count", args, model, args.order)
-    payload["data"] = sums
-    _emit(args, payload, rows=list(enumerate(sums)),
-          text_lines=["partial sums " + ",".join(str(c) for c in sums)])
-    return 0
+    return _emit(args, sums, enumerate(sums),
+                 ["partial sums " + ",".join(str(c) for c in sums)],
+                 model.describe())
 
 
 def cmd_conductor(args) -> int:
-    model = _build_model(args)
-    group = subgroup_count_poly(args.p, args.r)
+    model, group = _inputs(args)
     module = parse_module(args.module)
     count = conductor_count(model, group, module)
-    payload = _base_payload("conductor", args, model)
-    payload["data"] = [{"module": args.module, "degree": module.degree,
-                        "count": count}]
-    _emit(args, payload, rows=[(module.degree, count)],
-          text_lines=[f"conductor {args.module} (degree {module.degree}): "
-                      f"{count} extensions"])
-    return 0
+    return _emit(args,
+                 [{"module": args.module, "degree": module.degree, "count": count}],
+                 [(module.degree, count)],
+                 [f"conductor {args.module} (degree {module.degree}): "
+                  f"{count} extensions"],
+                 model.describe())
 
 
 def cmd_poles(args) -> int:
-    subgroup_count_poly(args.p, args.r)  # validates p and r
+    rational_field(args.q, args.p)  # validates q and p
+    subgroup_count_poly(args.p, args.r)  # validates r
     report = pole_analysis(args.p, args.r)
-    payload = _base_payload("poles", args, None)
-    payload["data"] = [{
-        "abscissa": report.abscissa,
-        "log_order": report.log_order,
-        "progression": report.progression,
-        "pole_angles": list(report.pole_angles),
-        "max_order_angles": list(report.max_order_angles),
-    }]
-    _emit(args, payload,
-          rows=[("abscissa", report.abscissa),
-                ("log_order", report.log_order),
-                ("progression", report.progression)],
-          text_lines=[f"abscissa {report.abscissa}, pole order "
-                      f"{report.log_order}, progression {report.progression}"])
-    return 0
+    return _emit(args, [{**asdict(report), "pole_angles": report.pole_angles}],
+                 [("abscissa", report.abscissa),
+                  ("log_order", report.log_order),
+                  ("progression", report.progression)],
+                 [f"abscissa {report.abscissa}, pole order "
+                  f"{report.log_order}, progression {report.progression}"])
 
 
 def cmd_constant(args) -> int:
     # the printed constants carry 15 significant digits
     if args.prec_bits < 53:
         raise ValueError(f"--prec-bits must be >= 53, got {args.prec_bits}")
-    model = _build_model(args)
-    group = subgroup_count_poly(args.p, args.r)
+    model, group = _inputs(args)
     closed = None
     try:
         closed = closed_form_constant(model, group, args.cutoff, args.prec_bits)
     except UnsupportedInputError:
         pass
     generic = tauberian_constant(model, group, args.cutoff, args.prec_bits)
-    payload = _base_payload("constant", args, model)
-    payload["meta"]["degree_cutoff"] = args.cutoff
     entry = {
         "tauberian": generic.constant,
         "log_order": generic.log_order,
         "exponent": generic.exponent,
     }
-    lines = []
-    if closed is not None:
-        delta = abs(generic.constant - closed.constant) / abs(closed.constant)
-        entry["closed_form"] = (
-            closed.constant_exact
-            if closed.constant_exact is not None
-            else closed.constant
-        )
-        entry["delta"] = delta
-        lines.append(
-            f"closed-form {entry['closed_form']}, tauberian "
-            f"{mpmath.nstr(generic.constant, 8)} (delta {mpmath.nstr(delta, 3)})"
-        )
+    tauberian = mpmath.nstr(generic.constant, 8)
+    if closed is None:
+        line = f"tauberian {tauberian} (no closed form for this group)"
     else:
-        lines.append(
-            f"tauberian {mpmath.nstr(generic.constant, 8)} "
-            "(no closed form for this group)"
-        )
-    payload["data"] = [entry]
-    _emit(args, payload,
-          rows=[(k, v) for k, v in entry.items()], text_lines=lines)
-    return 0
+        delta = abs(generic.constant - closed.constant) / abs(closed.constant)
+        exact = closed.constant_exact
+        entry["closed_form"] = closed.constant if exact is None else exact
+        entry["delta"] = delta
+        line = (f"closed-form {entry['closed_form']}, tauberian {tauberian} "
+                f"(delta {mpmath.nstr(delta, 3)})")
+    return _emit(args, [entry], entry.items(), [line], model.describe(),
+                 {"degree_cutoff": args.cutoff})
 
 
 def cmd_oracle(args) -> int:
     counts = oracle_counts(args.q, args.p, args.r, args.bound, args.budget)
     table = counts_by_degree(counts, args.bound)
-    payload = _base_payload("oracle", args, None, args.bound)
-    payload["model"] = {"p": args.p, "q": args.q, "genus": 0}
-    payload["data"] = table
-    _emit(args, payload, rows=list(enumerate(table)),
-          text_lines=["oracle counts " + ",".join(str(c) for c in table)])
-    return 0
+    return _emit(args, table, enumerate(table),
+                 ["oracle counts " + ",".join(str(c) for c in table)],
+                 {"p": args.p, "q": args.q, "genus": 0})
 
 
 def cmd_compare(args) -> int:
     model = rational_field(args.q, args.p)
     group = subgroup_count_poly(args.p, args.r)
-    series = conductor_series(model, group, args.bound)
-    expected = [int(c) for c in series.coeffs]
+    expected = [int(c) for c in conductor_series(model, group, args.bound).coeffs]
     counts = oracle_counts(args.q, args.p, args.r, args.bound, args.budget)
     actual = counts_by_degree(counts, args.bound)
-    mismatches = [
-        (n, expected[n], actual[n])
-        for n in range(args.bound + 1)
-        if expected[n] != actual[n]
-    ]
+    degrees = range(args.bound + 1)
+    mismatches = [(n, expected[n], actual[n])
+                  for n in degrees if expected[n] != actual[n]]
     checked = sum(1 for c in expected if c != 0)
-    payload = _base_payload("compare", args, model, args.bound)
-    payload["data"] = [
-        {"degree": n, "series": expected[n], "oracle": actual[n]}
-        for n in range(args.bound + 1)
-    ]
-    payload["meta"]["mismatches"] = len(mismatches)
-    if mismatches:
-        lines = [
-            f"MISMATCH at degree {n}: series {e} vs oracle {a}"
-            for n, e, a in mismatches
-        ]
-    else:
-        lines = [f"match {checked}/{checked} degrees"]
-    _emit(args, payload,
-          rows=[(n, f"{expected[n]}|{actual[n]}") for n in range(args.bound + 1)],
-          text_lines=lines)
+    lines = [
+        f"MISMATCH at degree {n}: series {e} vs oracle {a}"
+        for n, e, a in mismatches
+    ] or [f"match {checked}/{checked} degrees"]
+    _emit(args,
+          [{"degree": n, "series": expected[n], "oracle": actual[n]}
+           for n in degrees],
+          [(n, f"{expected[n]}|{actual[n]}") for n in degrees],
+          lines, model.describe(), {"mismatches": len(mismatches)})
     return 1 if mismatches else 0
 
 
 def cmd_disc(args) -> int:
-    model = _build_model(args)
-    group = subgroup_count_poly(args.p, args.r)
+    model, group = _inputs(args)
     view = discriminant_view(model, group, args.order)
-    payload = _base_payload("disc", args, model, args.order)
-    payload["data"] = [{
-        "lower_exponent": view.lower_exponent,
-        "upper_exponent": view.upper_exponent,
-        "malle_exponent": view.malle_exponent,
-        "comparison": view.comparison,
-        "z_table": list(view.z_table) if view.z_table is not None else None,
-    }]
     lines = [
         f"conductor-side exponent {view.lower_exponent} .. "
         f"{view.upper_exponent}, tame prediction {view.malle_exponent} "
@@ -277,24 +237,50 @@ def cmd_disc(args) -> int:
         lines.append(
             "discriminant counts " + ",".join(str(z) for z in view.z_table)
         )
-    _emit(args, payload,
-          rows=list(enumerate(view.z_table)) if view.z_table else
-          [("comparison", view.comparison)],
-          text_lines=lines)
-    return 0
+    data = {k: v for k, v in asdict(view).items() if k not in ("p", "r")}
+    return _emit(args, [data],
+                 enumerate(view.z_table) if view.z_table else
+                 [("comparison", view.comparison)],
+                 lines, model.describe())
 
 
-def _add_model_flags(sub, genus=True):
-    sub.add_argument("--q", type=int, required=True, help="constant field size")
-    sub.add_argument("--p", type=int, required=True, help="characteristic")
-    if genus:
-        sub.add_argument("--genus", type=int, default=0)
-        sub.add_argument("--l-poly", type=str, default=None,
-                         help="comma-separated L-polynomial coefficients")
-        sub.add_argument("--clp-order", type=int, default=1,
-                         help="order of the p-torsion of the class group")
-        sub.add_argument("--model-file", type=str, default=None,
-                         help="key=value model file (overrides other flags)")
+_FIELD_FLAGS = (
+    ("--q", {"type": int, "required": True, "help": "constant field size"}),
+    ("--p", {"type": int, "required": True, "help": "characteristic"}),
+)
+_GENUS_FLAGS = (
+    ("--genus", {"type": int, "default": 0}),
+    ("--l-poly", {"type": str, "default": None,
+                  "help": "comma-separated L-polynomial coefficients"}),
+    ("--clp-order", {"type": int, "default": 1,
+                     "help": "order of the p-torsion of the class group"}),
+    ("--model-file", {"type": str, "default": None,
+                      "help": "key=value model file (overrides other flags)"}),
+)
+_GROUP_FLAGS = (
+    ("--r", {"type": int, "default": 1, "help": "group rank"}),
+    ("--format", {"choices": ("text", "json", "tsv"), "default": "text"}),
+)
+_ORDER = (("--order", {"type": int, "default": 10}),)
+_CENSUS = (("--bound", {"type": int, "default": 4}),
+           ("--budget", {"type": int, "default": DEFAULT_BUDGET}))
+
+# (name, handler, takes the genus flags, help, own flags)
+_COMMANDS = (
+    ("series", cmd_series, True, "conductor series coefficients", _ORDER),
+    ("count", cmd_count, True, "counting function partial sums", _ORDER),
+    ("conductor", cmd_conductor, True, "count for one explicit module",
+     (("--module", {"type": str, "required": True,
+                    "help": "e.g. '1^2' or '2.a^3,1.b^2'; '1' is trivial"}),)),
+    ("poles", cmd_poles, False, "pole locations of the zeta factor", ()),
+    ("constant", cmd_constant, True, "asymptotic constants",
+     (("--cutoff", {"type": int, "default": 20,
+                    "help": "Euler product degree cutoff"}),
+      ("--prec-bits", {"type": int, "default": DEFAULT_PREC_BITS}))),
+    ("oracle", cmd_oracle, False, "brute-force census over F_q(x)", _CENSUS),
+    ("compare", cmd_compare, False, "series vs brute force (CI entry)", _CENSUS),
+    ("disc", cmd_disc, True, "discriminant-count view", _ORDER),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,57 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
         "global function fields, by conductor.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    def common(sub, genus=True):
-        _add_model_flags(sub, genus)
-        sub.add_argument("--r", type=int, default=1, help="group rank")
-        sub.add_argument("--format", choices=("text", "json", "tsv"),
-                         default="text")
-
-    s = subs.add_parser("series", help="conductor series coefficients")
-    common(s)
-    s.add_argument("--order", type=int, default=10)
-    s.set_defaults(func=cmd_series)
-
-    s = subs.add_parser("count", help="counting function partial sums")
-    common(s)
-    s.add_argument("--order", type=int, default=10)
-    s.set_defaults(func=cmd_count)
-
-    s = subs.add_parser("conductor", help="count for one explicit module")
-    common(s)
-    s.add_argument("--module", type=str, required=True,
-                   help="e.g. '1^2' or '2.a^3,1.b^2'; '1' is trivial")
-    s.set_defaults(func=cmd_conductor)
-
-    s = subs.add_parser("poles", help="pole locations of the zeta factor")
-    common(s, genus=False)
-    s.set_defaults(func=cmd_poles)
-
-    s = subs.add_parser("constant", help="asymptotic constants")
-    common(s)
-    s.add_argument("--cutoff", type=int, default=20,
-                   help="Euler product degree cutoff")
-    s.add_argument("--prec-bits", type=int, default=DEFAULT_PREC_BITS)
-    s.set_defaults(func=cmd_constant)
-
-    s = subs.add_parser("oracle", help="brute-force census over F_q(x)")
-    common(s, genus=False)
-    s.add_argument("--bound", type=int, default=4)
-    s.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    s.set_defaults(func=cmd_oracle)
-
-    s = subs.add_parser("compare", help="series vs brute force (CI entry)")
-    common(s, genus=False)
-    s.add_argument("--bound", type=int, default=4)
-    s.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    s.set_defaults(func=cmd_compare)
-
-    s = subs.add_parser("disc", help="discriminant-count view")
-    common(s)
-    s.add_argument("--order", type=int, default=10)
-    s.set_defaults(func=cmd_disc)
-
+    for name, func, genus, help_text, flags in _COMMANDS:
+        sub = subs.add_parser(name, help=help_text)
+        genus_flags = _GENUS_FLAGS if genus else ()
+        for flag, kwargs in (*_FIELD_FLAGS, *genus_flags, *_GROUP_FLAGS, *flags):
+            sub.add_argument(flag, **kwargs)
+        sub.set_defaults(func=func)
     return parser
 
 

@@ -201,16 +201,19 @@ def load_model_file(path: str) -> FieldModel:
     Keys: p, q, genus, l_poly (comma-separated integers, ascending degree),
     clp_order.  Blank lines and lines starting with '#' are skipped.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [raw.strip() for raw in fh]
+    except OSError as exc:
+        raise ModelError(f"cannot read model file: {exc}") from exc
     data: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ModelError(f"malformed model line: {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            data[key] = value
+    for line in lines:
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ModelError(f"malformed model line: {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        data[key] = value
     try:
         p = int(data["p"])
         q = int(data["q"])

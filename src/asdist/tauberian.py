@@ -28,7 +28,12 @@ from .dirichlet import (
     pole_analysis,
     zeta_factor_binomials,
 )
-from .errors import ConsistencyError, PrecisionError, UnsupportedInputError
+from .errors import (
+    ConsistencyError,
+    ModelError,
+    PrecisionError,
+    UnsupportedInputError,
+)
 from .field import FieldModel
 
 DEFAULT_PREC_BITS = 200
@@ -289,6 +294,8 @@ def closed_form_constant(
 ) -> AsymptoticEstimate:
     """Closed-form asymptotic constant of the conductor counting function,
     available for p = 2 (any rank) and for rank 1 (any p)."""
+    if group.p != model.p:
+        raise ModelError("group exponent must equal the field characteristic")
     p, r = group.p, group.r
     if p != 2 and r != 1:
         raise UnsupportedInputError(
@@ -346,6 +353,8 @@ def tauberian_constant(
     """Asymptotic constant via principal-part extraction from the exact
     meromorphic factor, corrected by the holomorphic factor.  The exponent
     and log scale are reported as in `closed_form_constant`."""
+    if group.p != model.p:
+        raise ModelError("group exponent must equal the field characteristic")
     p, r = group.p, group.r
     e_top = group.e_coeffs[r]
 

@@ -2,6 +2,7 @@
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,101 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# stdout of one small run of each subcommand in text, json and tsv
+PINNED = {
+    "series --q 2 --p 2 --order 4": (
+        'coefficients 1,0,6,0,24\n',
+        ('{"command":"series","data":[1,0,6,0,24],"group":{"p":2,'
+         '"r":1},"meta":{"order":4,"precision_bits":null},'
+         '"model":{"class_number":1,"clp_order":1,"genus":0,'
+         '"l_poly":[1],"p":2,"q":2}}\n'),
+        'n\tvalue\n0\t1\n1\t0\n2\t6\n3\t0\n4\t24\n',
+    ),
+    "count --q 2 --p 2 --order 4": (
+        'partial sums 1,1,7,7,31\n',
+        ('{"command":"count","data":[1,1,7,7,31],"group":{"p":2,'
+         '"r":1},"meta":{"order":4,"precision_bits":null},'
+         '"model":{"class_number":1,"clp_order":1,"genus":0,'
+         '"l_poly":[1],"p":2,"q":2}}\n'),
+        'n\tvalue\n0\t1\n1\t1\n2\t7\n3\t7\n4\t31\n',
+    ),
+    "conductor --q 2 --p 2 --module 1^2": (
+        'conductor 1^2 (degree 2): 2 extensions\n',
+        ('{"command":"conductor","data":[{"count":2,"degree":2,'
+         '"module":"1^2"}],"group":{"p":2,"r":1},"meta":{"order":null,'
+         '"precision_bits":null},"model":{"class_number":1,'
+         '"clp_order":1,"genus":0,"l_poly":[1],"p":2,"q":2}}\n'),
+        'n\tvalue\n2\t2\n',
+    ),
+    "poles --q 3 --p 3": (
+        'abscissa 1, pole order 2, progression 6\n',
+        ('{"command":"poles","data":[{"abscissa":1,"log_order":2,'
+         '"max_order_angles":[0],"pole_angles":[0,"1/6","1/3",'
+         '"1/2","2/3","5/6"],"progression":6}],"group":{"p":3,'
+         '"r":1},"meta":{"order":null,"precision_bits":null},'
+         '"model":null}\n'),
+        'n\tvalue\nabscissa\t1\nlog_order\t2\nprogression\t6\n',
+    ),
+    "constant --q 3 --p 3 --cutoff 10": (
+        'closed-form 0.199338725861456, tauberian 0.19933873 (delta 3.9e-60)\n',
+        ('{"command":"constant","data":[{"closed_form":"0.199338725861",'
+         '"delta":"3.90228695589e-60","exponent":1,"log_order":2,'
+         '"tauberian":"0.199338725861"}],"group":{"p":3,"r":1},'
+         '"meta":{"degree_cutoff":10,"order":null,"precision_bits":200},'
+         '"model":{"class_number":1,"clp_order":1,"genus":0,'
+         '"l_poly":[1],"p":3,"q":3}}\n'),
+        ('n\tvalue\ntauberian\t0.199338725861\nlog_order\t2\nexponent\t1\n'
+         'closed_form\t0.199338725861\ndelta\t3.90228695589e-60\n'),
+    ),
+    "oracle --q 2 --p 2 --bound 4": (
+        'oracle counts 1,0,6,0,24\n',
+        ('{"command":"oracle","data":[1,0,6,0,24],"group":{"p":2,'
+         '"r":1},"meta":{"order":4,"precision_bits":null},'
+         '"model":{"genus":0,"p":2,"q":2}}\n'),
+        'n\tvalue\n0\t1\n1\t0\n2\t6\n3\t0\n4\t24\n',
+    ),
+    "compare --q 2 --p 2 --bound 4": (
+        'match 3/3 degrees\n',
+        ('{"command":"compare","data":[{"degree":0,"oracle":1,'
+         '"series":1},{"degree":1,"oracle":0,"series":0},{"degree":2,'
+         '"oracle":6,"series":6},{"degree":3,"oracle":0,"series":0},'
+         '{"degree":4,"oracle":24,"series":24}],"group":{"p":2,'
+         '"r":1},"meta":{"mismatches":0,"order":4,"precision_bits":null},'
+         '"model":{"class_number":1,"clp_order":1,"genus":0,'
+         '"l_poly":[1],"p":2,"q":2}}\n'),
+        'n\tvalue\n0\t1|1\n1\t0|0\n2\t6|6\n3\t0|0\n4\t24|24\n',
+    ),
+    "disc --q 2 --p 2 --order 4": (
+        ('conductor-side exponent 1 .. 1, tame prediction 1 (equal)\n'
+         'discriminant counts 1,1,7,7,31\n'),
+        ('{"command":"disc","data":[{"comparison":"equal",'
+         '"lower_exponent":1,"malle_exponent":1,"upper_exponent":1,'
+         '"z_table":[1,1,7,7,31]}],"group":{"p":2,"r":1},"meta":{"order":4,'
+         '"precision_bits":null},"model":{"class_number":1,'
+         '"clp_order":1,"genus":0,"l_poly":[1],"p":2,"q":2}}\n'),
+        'n\tvalue\n0\t1\n1\t1\n2\t7\n3\t7\n4\t31\n',
+    ),
+}
+
+_FLOAT = re.compile(r"\d+\.\d+(?:e[-+]?\d+)?")
+
+
+@pytest.mark.parametrize("case", PINNED)
+def test_every_subcommand_prints_its_pinned_bytes(capsys, case):
+    for fmt, want in zip(("text", "json", "tsv"), PINNED[case]):
+        code, out, err = run(capsys, *case.split(), "--format", fmt)
+        assert (code, err) == (0, ""), fmt
+        if case.startswith("constant"):
+            # the floats agree to the 12 significant digits printed; every
+            # other byte is exact
+            assert _FLOAT.sub("#", out) == _FLOAT.sub("#", want), fmt
+            got = [float(x) for x in _FLOAT.findall(out)]
+            expected = [float(x) for x in _FLOAT.findall(want)]
+            assert got == pytest.approx(expected, rel=1e-11, abs=0), fmt
+        else:
+            assert out == want, fmt
 
 
 def test_parse_module():
@@ -82,6 +178,8 @@ def test_poles_command(capsys):
     assert code == 0
     # the period of the angles, not a count: 4 of the 6 are poles
     assert out.strip() == "abscissa 1, pole order 2, progression 6"
+    code, out, err = run(capsys, "poles", "--q", "5", "--p", "3")
+    assert (code, out, err) == (2, "", "error: q = 5 is not a power of p = 3\n")
 
 
 def test_constant_command(capsys):
@@ -131,6 +229,27 @@ def test_model_file_flag(capsys, tmp_path):
     assert out.strip() == "coefficients 3,0,0,0,24"
 
 
+def test_unreadable_or_mismatched_model_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "model.txt"
+    path.write_text("p = 2\nq = 2\ngenus = 1\nl_poly = 1,-1,2\nclp_order = 2\n")
+    for argv, message in (
+        (["series", "--q", "2", "--p", "2", "--model-file",
+          str(tmp_path / "missing.txt")], "cannot read model file"),
+        (["series", "--q", "2", "--p", "2", "--model-file", str(tmp_path)],
+         "cannot read model file"),
+        # a C_3 constant or disc view over a field of characteristic 2
+        (["constant", "--q", "3", "--p", "3", "--model-file", str(path)],
+         "p = 2, q = 2, but --p 3 --q 3"),
+        (["disc", "--q", "3", "--p", "3", "--r", "2", "--model-file", str(path)],
+         "p = 2, q = 2, but --p 3 --q 3"),
+        (["series", "--q", "4", "--p", "2", "--model-file", str(path)],
+         "p = 2, q = 2, but --p 2 --q 4"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and message in err, argv
+
+
 def test_impossible_models_and_modules_exit_2(capsys):
     code, _, err = run(capsys, "series", "--q", "2", "--p", "2", "--genus", "1",
                        "--l-poly", "1,0,2", "--clp-order", "4", "--order", "6")
@@ -160,6 +279,8 @@ def test_impossible_models_and_modules_exit_2(capsys):
         ["disc", "--q", "2", "--p", "2", "--order", "100000000"],
         ["constant", "--q", "3", "--p", "3", "--cutoff", "100000000"],
         ["constant", "--q", "3", "--p", "3", "--prec-bits", "100000000"],
+        ["poles", "--q", "5", "--p", "3"],
+        ["poles", "--q", "0", "--p", "2"],
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv

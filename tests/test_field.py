@@ -154,3 +154,9 @@ def test_model_file_roundtrip(tmp_path):
     bad.write_text("p: 2\n")
     with pytest.raises(ModelError):
         load_model_file(str(bad))
+
+
+def test_unreadable_model_file_is_a_model_error(tmp_path):
+    for path in (tmp_path / "missing.txt", tmp_path):
+        with pytest.raises(ModelError, match="cannot read model file"):
+            load_model_file(str(path))

@@ -10,6 +10,7 @@ import asdist.tauberian
 from asdist import (
     ConsistencyError,
     FieldModel,
+    ModelError,
     PrecisionError,
     UnsupportedInputError,
     closed_form_constant,
@@ -255,6 +256,13 @@ def test_closed_form_constant_elliptic():
 def test_closed_form_constant_unsupported():
     with pytest.raises(UnsupportedInputError):
         closed_form_constant(Q3, subgroup_count_poly(3, 2))
+
+
+def test_constants_reject_a_group_of_another_characteristic():
+    # a C_3 constant over a field of characteristic 2 is meaningless
+    for constant in (closed_form_constant, tauberian_constant):
+        with pytest.raises(ModelError, match="field characteristic"):
+            constant(Q2, C3)
 
 
 def test_cross_path_constants_p2():
