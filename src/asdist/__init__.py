@@ -49,7 +49,6 @@ try:
     )
     from .field import (
         FieldModel,
-        load_model_file,
         make_field_model,
         rational_field,
     )

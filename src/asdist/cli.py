@@ -4,10 +4,11 @@ Every computation in the library is reachable through one subcommand, listed
 in one table.  Every command prints through one emitter, to stdout, in one of
 three formats: human-readable text (default), TSV, or JSON with a fixed schema
 (`command`, `model`, `group`, `data`, `meta`), where `meta.order` holds
-`--order` or `--bound`.  Exit codes: 0 success, 1 compare mismatch, 2 invalid
-input, 3 internal consistency failure.  Invalid input includes a `q` that is
-not a power of `p` (for every command), a `--model-file` that cannot be read,
-and one whose `p` or `q` differs from `--p` or `--q`.
+`--order` or `--bound`.  A field beyond F_q(x) is given by its invariants,
+`--genus/--l-poly/--clp-order`.  Exit codes: 0 success, 1 compare mismatch,
+2 invalid input, 3 internal consistency failure.  Invalid input includes a
+`q` that is not a power of `p` (for every command) and an `--l-poly` entry
+that is not an integer.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from .errors import (
     PrecisionError,
     UnsupportedInputError,
 )
-from .field import load_model_file, make_field_model, rational_field
+from .field import make_field_model, rational_field
 from .oracle import DEFAULT_BUDGET, counts_by_degree, oracle_counts
 from .tauberian import DEFAULT_PREC_BITS, closed_form_constant, tauberian_constant
 
@@ -84,18 +85,16 @@ def parse_module(text: str) -> DivisorModule:
 
 
 def _inputs(args):
-    """The model of the field flags (or of `--model-file`, whose p and q must
-    match them), then the group, so that a bad field is reported first."""
-    if args.model_file:
-        model = load_model_file(args.model_file)
-        if (model.p, model.q) != (args.p, args.q):
-            raise ModelError(f"the model file has p = {model.p}, q = {model.q}, "
-                             f"but --p {args.p} --q {args.q} was given")
-    else:
-        l_poly = None
-        if args.l_poly:
+    """The model of the field flags, then the group, so that a bad field is
+    reported first."""
+    l_poly = None
+    if args.l_poly:
+        try:
             l_poly = [int(x) for x in args.l_poly.split(",")]
-        model = make_field_model(args.p, args.q, args.genus, l_poly, args.clp_order)
+        except ValueError as exc:
+            raise ModelError("--l-poly must be comma-separated integers, "
+                             f"got {args.l_poly!r}") from exc
+    model = make_field_model(args.p, args.q, args.genus, l_poly, args.clp_order)
     return model, subgroup_count_poly(args.p, args.r)
 
 
@@ -254,8 +253,6 @@ _GENUS_FLAGS = (
                   "help": "comma-separated L-polynomial coefficients"}),
     ("--clp-order", {"type": int, "default": 1,
                      "help": "order of the p-torsion of the class group"}),
-    ("--model-file", {"type": str, "default": None,
-                      "help": "key=value model file (overrides other flags)"}),
 )
 _GROUP_FLAGS = (
     ("--r", {"type": int, "default": 1, "help": "group rank"}),

@@ -138,7 +138,7 @@ def subgroup_count_poly(p: int, r: int) -> GroupSpec:
     if not is_prime(p):
         raise ModelError(f"{p} is not prime")
     if r < 1:
-        raise ModelError("rank must be >= 1")
+        raise ModelError(f"rank must be >= 1, got {r}")
     coeffs = [Fraction(1)]
     for i in range(r):
         denom = p**r - p**i

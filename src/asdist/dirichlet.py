@@ -20,6 +20,8 @@ from .errors import ConsistencyError, ModelError, PrecisionError
 from .field import FieldModel
 from .series import TruncatedSeries, euler_product, mul as poly_mul, subst_monomial
 
+DEFAULT_PREC_BITS = 200
+
 
 def prime_term(q: int, d: int, u: int, v: int) -> tuple:
     """(t-power, integer coefficient) of N^{u} N^{-v s} for N = q^d."""
@@ -173,7 +175,8 @@ def _holomorphic_factor_terms(q: int, d: int, p: int, r: int):
 
 
 def holomorphic_factor_value(
-    model: FieldModel, p: int, r: int, point, degree_cutoff: int, prec_bits: int = 200
+    model: FieldModel, p: int, r: int, point, degree_cutoff: int,
+    prec_bits: int = DEFAULT_PREC_BITS,
 ):
     """Numeric value of the holomorphic factor at a point inside its region
     of convergence, via the Euler product over primes of degree <= cutoff."""
@@ -200,7 +203,8 @@ def holomorphic_factor_value(
 
 
 def holomorphic_factor_at_abscissa(
-    model: FieldModel, p: int, r: int, degree_cutoff: int, prec_bits: int = 200
+    model: FieldModel, p: int, r: int, degree_cutoff: int,
+    prec_bits: int = DEFAULT_PREC_BITS,
 ):
     """Value of the holomorphic factor at the convergence abscissa, i.e.
     `holomorphic_factor_value` at t = q^(-a), with a rigorous tail bound;

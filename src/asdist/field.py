@@ -194,34 +194,3 @@ def rational_field(q: int, p: int | None = None) -> FieldModel:
         p = min(d for d in range(2, q + 1) if q % d == 0)
     return make_field_model(p, q, 0)
 
-
-def load_model_file(path: str) -> FieldModel:
-    """Read a model from a line-based key=value file.
-
-    Keys: p, q, genus, l_poly (comma-separated integers, ascending degree),
-    clp_order.  Blank lines and lines starting with '#' are skipped.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [raw.strip() for raw in fh]
-    except OSError as exc:
-        raise ModelError(f"cannot read model file: {exc}") from exc
-    data: dict = {}
-    for line in lines:
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ModelError(f"malformed model line: {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        data[key] = value
-    try:
-        p = int(data["p"])
-        q = int(data["q"])
-        genus = int(data["genus"])
-    except KeyError as exc:
-        raise ModelError(f"model file misses key {exc}") from exc
-    l_poly = None
-    if "l_poly" in data:
-        l_poly = [int(x) for x in data["l_poly"].split(",")]
-    clp_order = int(data.get("clp_order", "1"))
-    return make_field_model(p, q, genus, l_poly, clp_order)

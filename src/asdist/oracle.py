@@ -70,9 +70,9 @@ import bisect
 import itertools
 from dataclasses import dataclass
 
-from .counting import DivisorModule, Place
+from .counting import DivisorModule, Place, subgroup_count_poly
 from .errors import BudgetExceededError, ConsistencyError, ModelError
-from .field import is_prime, _prime_power_exponent
+from .field import _prime_power_exponent, is_prime, rational_field
 
 DEFAULT_BUDGET = 10**7
 
@@ -493,16 +493,11 @@ def oracle_counts(
 ) -> dict:
     """Census of C_p^r-extensions of F_q(x) by conductor, up to conductor
     degree `bound`: returns {DivisorModule: count}."""
-    if not is_prime(p):
-        raise ModelError(f"{p} is not prime")
-    k = _prime_power_exponent(q, p)
-    if k is None:
-        raise ModelError(f"q = {q} is not a power of p = {p}")
-    if r < 1:
-        raise ModelError(f"rank must be >= 1, got {r}")
+    rational_field(q, p)  # validates q and p
+    subgroup_count_poly(p, r)  # validates r
     if bound < 0:
         raise ModelError(f"conductor degree bound must be >= 0, got {bound}")
-    gf = GF(p, k)
+    gf = GF(p, _prime_power_exponent(q, p))
     places = census_places(gf, bound, budget)
     partials = iter_partial_classes(gf, places, bound, budget)
     if r > 1:

@@ -22,6 +22,7 @@ import sympy
 
 from .counting import GroupSpec
 from .dirichlet import (
+    DEFAULT_PREC_BITS,
     RationalFunctionT,
     holomorphic_factor_at_abscissa,
     holomorphic_factor_value,
@@ -35,8 +36,6 @@ from .errors import (
     UnsupportedInputError,
 )
 from .field import FieldModel
-
-DEFAULT_PREC_BITS = 200
 
 
 @dataclass(frozen=True)

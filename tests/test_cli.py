@@ -220,40 +220,20 @@ def test_disc_command(capsys):
     assert "discriminant counts 1,1,7,7,31,31,127" in out
 
 
-def test_model_file_flag(capsys, tmp_path):
-    path = tmp_path / "model.txt"
-    path.write_text("p = 2\nq = 2\ngenus = 1\nl_poly = 1,-1,2\nclp_order = 2\n")
-    code, out, _ = run(capsys, "series", "--q", "2", "--p", "2",
-                       "--model-file", str(path), "--order", "4")
+def test_elliptic_model_from_flags(capsys):
+    code, out, _ = run(capsys, "series", "--q", "2", "--p", "2", "--genus", "1",
+                       "--l-poly", "1,-1,2", "--clp-order", "2", "--order", "4")
     assert code == 0
     assert out.strip() == "coefficients 3,0,0,0,24"
-
-
-def test_unreadable_or_mismatched_model_file_exits_2(capsys, tmp_path):
-    path = tmp_path / "model.txt"
-    path.write_text("p = 2\nq = 2\ngenus = 1\nl_poly = 1,-1,2\nclp_order = 2\n")
-    for argv, message in (
-        (["series", "--q", "2", "--p", "2", "--model-file",
-          str(tmp_path / "missing.txt")], "cannot read model file"),
-        (["series", "--q", "2", "--p", "2", "--model-file", str(tmp_path)],
-         "cannot read model file"),
-        # a C_3 constant or disc view over a field of characteristic 2
-        (["constant", "--q", "3", "--p", "3", "--model-file", str(path)],
-         "p = 2, q = 2, but --p 3 --q 3"),
-        (["disc", "--q", "3", "--p", "3", "--r", "2", "--model-file", str(path)],
-         "p = 2, q = 2, but --p 3 --q 3"),
-        (["series", "--q", "4", "--p", "2", "--model-file", str(path)],
-         "p = 2, q = 2, but --p 2 --q 4"),
-    ):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, ""), argv
-        assert err.startswith("error:") and message in err, argv
 
 
 def test_impossible_models_and_modules_exit_2(capsys):
     code, _, err = run(capsys, "series", "--q", "2", "--p", "2", "--genus", "1",
                        "--l-poly", "1,0,2", "--clp-order", "4", "--order", "6")
     assert code == 2 and "clp_order" in err
+    code, out, err = run(capsys, "series", "--q", "2", "--p", "2", "--genus", "1",
+                         "--l-poly", "1,x")
+    assert (code, out) == (2, "") and "--l-poly" in err
     code, _, err = run(capsys, "conductor", "--q", "2", "--p", "2",
                        "--module", "1.a^2,1.b^2,1.c^2,1.d^2")
     assert code == 2 and "places of degree 1" in err
@@ -281,6 +261,7 @@ def test_impossible_models_and_modules_exit_2(capsys):
         ["constant", "--q", "3", "--p", "3", "--prec-bits", "100000000"],
         ["poles", "--q", "5", "--p", "3"],
         ["poles", "--q", "0", "--p", "2"],
+        ["oracle", "--q", "6", "--p", "2", "--bound", "2"],
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv

@@ -10,7 +10,7 @@ from asdist import (
     make_field_model,
     rational_field,
 )
-from asdist.field import load_model_file, mobius
+from asdist.field import mobius
 
 ELLIPTIC_A = dict(p=2, q=2, genus=1, l_poly=[1, 0, 2], clp_order=1)
 ELLIPTIC_B = dict(p=2, q=2, genus=1, l_poly=[1, -1, 2], clp_order=2)
@@ -140,23 +140,3 @@ def test_clp_order_must_divide_class_number_and_fit_p_rank():
     with pytest.raises(ModelError):
         make_field_model(2, 2, 1, [1, 0, 2], clp_order=4)
     assert make_field_model(2, 4, 1, [1, -1, 4], clp_order=2).clp_order == 2
-
-
-def test_model_file_roundtrip(tmp_path):
-    path = tmp_path / "model.txt"
-    path.write_text(
-        "# an elliptic model\np = 2\nq = 2\ngenus = 1\n"
-        "l_poly = 1,-1,2\nclp_order = 2\n"
-    )
-    m = load_model_file(str(path))
-    assert m == make_field_model(**ELLIPTIC_B)
-    bad = tmp_path / "bad.txt"
-    bad.write_text("p: 2\n")
-    with pytest.raises(ModelError):
-        load_model_file(str(bad))
-
-
-def test_unreadable_model_file_is_a_model_error(tmp_path):
-    for path in (tmp_path / "missing.txt", tmp_path):
-        with pytest.raises(ModelError, match="cannot read model file"):
-            load_model_file(str(path))
