@@ -7,8 +7,9 @@ three formats: human-readable text (default), TSV, or JSON with a fixed schema
 `--order` or `--bound`.  A field beyond F_q(x) is given by its invariants,
 `--genus/--l-poly/--clp-order`.  Exit codes: 0 success, 1 compare mismatch,
 2 invalid input, 3 internal consistency failure.  Invalid input includes a
-`q` that is not a power of `p` (for every command) and an `--l-poly` entry
-that is not an integer.
+`q` that is not a power of `p` (for every command), an `--l-poly` entry
+that is not an integer, an `--r` above 64 and a `conductor --module` of
+degree above the `--order` ceiling.
 """
 from __future__ import annotations
 
@@ -39,12 +40,14 @@ from .field import make_field_model, rational_field
 from .oracle import DEFAULT_BUDGET, counts_by_degree, oracle_counts
 from .tauberian import DEFAULT_PREC_BITS, closed_form_constant, tauberian_constant
 
-# ceilings on --order, --cutoff and --prec-bits, so that a mistyped value
-# exits 2 at once instead of running for hours; at its ceiling a command on
-# a small field takes seconds (series --q 2 --p 2 --order 2000 about 2 s)
+# ceilings on --order (and the degree of --module), --cutoff, --prec-bits
+# and --r, so that a mistyped value exits 2 at once instead of running for
+# hours; at its ceiling a command on a small field takes seconds (series
+# --q 2 --p 2 --order 2000 about 2 s, the O(r^4) rank check at most 0.13 s)
 MAX_ORDER = 2000
 MAX_CUTOFF = 200
 MAX_PREC_BITS = 10_000
+MAX_RANK = 64
 
 _FLOAT_DIGITS = 12
 
@@ -143,6 +146,8 @@ def cmd_count(args) -> int:
 def cmd_conductor(args) -> int:
     model, group = _inputs(args)
     module = parse_module(args.module)
+    if module.degree > MAX_ORDER:
+        raise ValueError(f"--module must have degree <= {MAX_ORDER}, got {module.degree}")
     count = conductor_count(model, group, module)
     return _emit(args,
                  [{"module": args.module, "degree": module.degree, "count": count}],
@@ -301,7 +306,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         for flag, ceiling in (("order", MAX_ORDER), ("cutoff", MAX_CUTOFF),
-                              ("prec_bits", MAX_PREC_BITS)):
+                              ("prec_bits", MAX_PREC_BITS), ("r", MAX_RANK)):
             value = getattr(args, flag, 0)  # 0 where a command lacks the flag
             if value > ceiling:
                 raise ValueError(f"--{flag.replace('_', '-')} must be <= "

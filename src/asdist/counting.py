@@ -10,7 +10,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import ConsistencyError, ModelError, UnsupportedInputError
 from .field import FieldModel, is_prime
@@ -58,17 +58,8 @@ class DivisorModule:
     def is_trivial(self) -> bool:
         return not self.entries
 
-    def multiplicity(self, place: Place) -> int:
-        for other, mult in self.entries:
-            if other == place:
-                return mult
-        return 0
-
     def support(self) -> tuple:
         return tuple(place for place, _ in self.entries)
-
-    def is_squareful(self) -> bool:
-        return all(mult >= 2 for _, mult in self.entries)
 
     def is_squarefree(self) -> bool:
         return all(mult == 1 for _, mult in self.entries)
@@ -82,15 +73,6 @@ class DivisorModule:
         return DivisorModule(
             tuple((p, m) for p, m in self.entries if keep(p, m))
         )
-
-    def divisors(self) -> Iterator["DivisorModule"]:
-        """All effective divisors dividing this module (including 1 and itself)."""
-        places = [p for p, _ in self.entries]
-        ranges = [range(m + 1) for _, m in self.entries]
-        for mults in itertools.product(*ranges):
-            yield DivisorModule(
-                tuple((p, m) for p, m in zip(places, mults) if m > 0)
-            )
 
     def __repr__(self):
         if not self.entries:
@@ -109,18 +91,6 @@ class GroupSpec:
     p: int
     r: int
     e_coeffs: tuple  # Fractions e_0..e_r
-
-    @property
-    def group_order(self) -> int:
-        return self.p**self.r
-
-    @property
-    def aut_order(self) -> int:
-        n = self.group_order
-        result = 1
-        for i in range(self.r):
-            result *= n - self.p**i
-        return result
 
     def quotient_count(self, x) -> Fraction:
         """e(x): number of subgroups U of an elementary abelian group A with

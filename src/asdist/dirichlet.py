@@ -69,10 +69,6 @@ class RationalFunctionT:
         object.__setattr__(self, "numerator", tuple(num))
         object.__setattr__(self, "denominator", tuple(den))
 
-    def series(self, order: int) -> TruncatedSeries:
-        inverse = euler_product([(self.denominator, -1)], order)
-        return TruncatedSeries(poly_mul(self.numerator, inverse, order))
-
 
 # ---------------------------------------------------------------------------
 # Euler products

@@ -1,18 +1,17 @@
 """Global function fields modelled by their numerical invariants.
 
 A field is described by (p, q, genus, L-polynomial, |Cl[p]|); everything the
-counting formulas need (place counts per degree, the zeta series, the residue
-of the zeta function) is derived from that data.  No curve arithmetic happens
+counting formulas need (place counts per degree, zeta values, the residue of
+the zeta function) is derived from that data.  No curve arithmetic happens
 here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .errors import ModelError
-from .series import TruncatedSeries, euler_product
 
 VALIDATION_DEPTH = 12
 
@@ -45,7 +44,7 @@ def mobius(n: int) -> int:
     return result
 
 
-def _prime_power_exponent(q: int, p: int) -> int | None:
+def prime_power_exponent(q: int, p: int) -> int | None:
     k, m = 0, q
     while m > 1 and m % p == 0:
         m //= p
@@ -96,11 +95,6 @@ class FieldModel:
             b.append(total // d)
         return b
 
-    def zeta_series(self, order: int) -> TruncatedSeries:
-        """Expansion of L(t) / ((1 - t)(1 - q t)) to the given order."""
-        factors = [(self.l_poly, 1), ([1, -1], -1), ([1, -self.q], -1)]
-        return TruncatedSeries(euler_product(factors, order))
-
     def zeta_value(self, k: int) -> Fraction:
         """Exact value of the zeta function at the integer argument k >= 2,
         i.e. the zeta series evaluated at t = q^{-k}."""
@@ -148,7 +142,7 @@ def make_field_model(
     """
     if not is_prime(p):
         raise ModelError(f"{p} is not prime")
-    if _prime_power_exponent(q, p) is None:
+    if prime_power_exponent(q, p) is None:
         raise ModelError(f"q = {q} is not a power of p = {p}")
     if genus < 0:
         raise ModelError("genus must be nonnegative")
@@ -170,7 +164,7 @@ def make_field_model(
     for i in range(2 * genus + 1):
         if coeffs[2 * genus - i] * q**i != coeffs[i] * q**genus:
             raise ModelError("L-polynomial violates the functional equation")
-    if clp_order < 1 or _prime_power_exponent(clp_order, p) is None and clp_order != 1:
+    if clp_order < 1 or prime_power_exponent(clp_order, p) is None and clp_order != 1:
         raise ModelError("clp_order must be a power of p (including 1)")
     class_number = sum(coeffs)
     if class_number < 1:

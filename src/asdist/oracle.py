@@ -72,7 +72,7 @@ from dataclasses import dataclass
 
 from .counting import DivisorModule, Place, subgroup_count_poly
 from .errors import BudgetExceededError, ConsistencyError, ModelError
-from .field import _prime_power_exponent, is_prime, rational_field
+from .field import prime_power_exponent, rational_field
 
 DEFAULT_BUDGET = 10**7
 
@@ -82,27 +82,15 @@ DEFAULT_BUDGET = 10**7
 
 class GF:
     def __init__(self, p: int, k: int = 1):
-        if not is_prime(p):
-            raise ModelError(f"{p} is not prime")
-        if k < 1:
-            raise ModelError("extension degree must be >= 1")
         self.p, self.k, self.q = p, k, p**k
         self.zero = (0,) * k
         self.one = tuple([1] + [0] * (k - 1))
         self.modulus = self._find_modulus()
         self._mul_table: dict = {}
-        image = frozenset(
-            self.sub(self.pow(a, p), a) for a in self.elements()
-        )
-        self.wp_image = image
+        image = frozenset(self.sub(self.pow(a, p), a) for a in self.elements())
         # coset representatives of F_q / image are the F_p-multiples of one
         # fixed non-image element, so scaling keeps representatives canonical
         unit = next(a for a in self.elements() if a not in image)
-        self._coset_rep = {}
-        for i in range(p):
-            rep = self.scalar_mul(i, unit)
-            for v in image:
-                self._coset_rep[self.add(rep, v)] = rep
         self.coset_reps = tuple(self.scalar_mul(i, unit) for i in range(p))
 
     # -- modulus: the first monic irreducible of degree k over F_p ---------
@@ -120,14 +108,8 @@ class GF:
         for tup in itertools.product(range(self.p), repeat=self.k):
             yield tup
 
-    def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
     def sub(self, a, b):
         return tuple((x - y) % self.p for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(-x % self.p for x in a)
 
     def scalar_mul(self, c: int, a):
         return tuple(c * x % self.p for x in a)
@@ -166,12 +148,6 @@ class GF:
         if a == self.zero:
             raise ZeroDivisionError("inverse of zero")
         return self.pow(a, self.q - 2)
-
-    def pth_root(self, a):
-        return self.pow(a, self.p ** (self.k - 1))
-
-    def coset_rep(self, a):
-        return self._coset_rep[a]
 
 
 # ---------------------------------------------------------------------------
@@ -245,21 +221,6 @@ class ASRep:
     constant: tuple  # GF element, always one of gf.coset_reps
     infinity: tuple  # ((j, coeff), ...) ascending, j >= 1
     finite: tuple  # ((P, ((j, h), ...)), ...) sorted by (deg P, P)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.infinity and not self.finite and all(
-            x == 0 for x in self.constant
-        )
-
-    def conductor(self) -> DivisorModule:
-        entries = {}
-        if self.infinity:
-            entries[Place(1, "inf")] = max(j for j, _ in self.infinity) + 1
-        for poly, block in self.finite:
-            place = Place(len(poly) - 1, _place_key(poly))
-            entries[place] = max(j for j, _ in block) + 1
-        return DivisorModule.from_entries(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +458,7 @@ def oracle_counts(
     subgroup_count_poly(p, r)  # validates r
     if bound < 0:
         raise ModelError(f"conductor degree bound must be >= 0, got {bound}")
-    gf = GF(p, _prime_power_exponent(q, p))
+    gf = GF(p, prime_power_exponent(q, p))
     places = census_places(gf, bound, budget)
     partials = iter_partial_classes(gf, places, bound, budget)
     if r > 1:

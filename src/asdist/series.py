@@ -6,9 +6,9 @@ Integer inputs stay Python ints end to end; every division is exact and
 checked, so `Fraction` appears only where a result is not integral.
 
 `TruncatedSeries` is the public value type over that kernel: it stores its
-coefficients 0..order (inclusive), integral ones as int.  Mixed-order
-operations truncate to the shorter operand.  Values are immutable and safe
-to share.
+coefficients 0..order (inclusive), integral ones as int, and offers the sum
+(`+`), `scale`, `mul`, `inv` and `pow`.  A sum or product of two series
+truncates to the shorter operand.  Values are immutable and safe to share.
 """
 from __future__ import annotations
 
@@ -119,20 +119,8 @@ class TruncatedSeries:
         return len(self.coeffs) - 1
 
     @staticmethod
-    def from_coeffs(coeffs: Iterable[Scalar], order: int | None = None) -> "TruncatedSeries":
-        cs = list(coeffs)
-        if order is not None:
-            cs = cs[: order + 1]
-            cs += [0] * (order + 1 - len(cs))
-        return TruncatedSeries(tuple(cs))
-
-    @staticmethod
     def constant(value: Scalar, order: int) -> "TruncatedSeries":
         return TruncatedSeries.monomial(value, 0, order)
-
-    @staticmethod
-    def one(order: int) -> "TruncatedSeries":
-        return TruncatedSeries.constant(1, order)
 
     @staticmethod
     def zero(order: int) -> "TruncatedSeries":
@@ -144,13 +132,6 @@ class TruncatedSeries:
         if power <= order:
             cs[power] = coeff
         return TruncatedSeries(tuple(cs))
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        if order == self.order:
-            return self
-        return TruncatedSeries(self.coeffs[: order + 1])
 
     def _common(self, other: "TruncatedSeries") -> int:
         return min(self.order, other.order)
@@ -165,17 +146,6 @@ class TruncatedSeries:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return TruncatedSeries(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TruncatedSeries.constant(other, self.order)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def scale(self, factor: Scalar) -> "TruncatedSeries":
         return TruncatedSeries(tuple(c * factor for c in self.coeffs))
 
@@ -183,20 +153,9 @@ class TruncatedSeries:
         """Cauchy product truncated at the smaller operand order."""
         return TruncatedSeries(mul(self.coeffs, other.coeffs, self._common(other)))
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return self.mul(other)
-
-    __rmul__ = __mul__
-
     def inv(self) -> "TruncatedSeries":
         """Multiplicative inverse up to the truncation order."""
         return TruncatedSeries(euler_product([(self.coeffs, -1)], self.order))
-
-    def subst_monomial(self, scale: Scalar, power: int) -> "TruncatedSeries":
-        """Substitute t -> scale * t^power; truncation order is preserved."""
-        return TruncatedSeries(subst_monomial(self.coeffs, scale, power, self.order))
 
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, or None for the zero series."""
@@ -217,29 +176,6 @@ class TruncatedSeries:
             body = euler_product([(self.coeffs[v:], exponent)], m - shift)
             return TruncatedSeries((0,) * shift + tuple(body))
         return TruncatedSeries(euler_product([(self.coeffs, exponent)], m))
-
-    def __pow__(self, exponent: int):
-        return self.pow(exponent)
-
-    def partial_sum(self, n: int) -> Fraction:
-        """Sum of coefficients 0..n."""
-        if n > self.order:
-            raise IndexError("partial sum beyond truncation order")
-        return sum(self.coeffs[: n + 1], Fraction(0))
-
-    def evaluate(self, point, convert=None):
-        """Evaluate the truncated polynomial at a numeric point (Horner).
-
-        `convert` maps each coefficient into the point's arithmetic (e.g. to
-        mpf); by default coefficients are used as-is.
-        """
-        acc = 0 * point
-        for c in reversed(self.coeffs):
-            acc = acc * point + (convert(c) if convert else c)
-        return acc
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
 
     def __repr__(self):
         shown = ", ".join(str(c) for c in self.coeffs[:8])

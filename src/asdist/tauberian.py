@@ -64,14 +64,6 @@ class AsymptoticEstimate:
     growth: object  # per-step factor: X = growth^n
     log_scale: object  # log X = n * log_scale
 
-    def value(self, n: int):
-        if n < 1:
-            raise ValueError("estimates are evaluated at n >= 1")
-        v = self.constant * mpmath.mpf(self.growth) ** n
-        if self.log_order > 1:
-            v *= (n * self.log_scale) ** (self.log_order - 1)
-        return v
-
 
 def _cancel(f: RationalFunctionT):
     t = sympy.Symbol("t")

@@ -2,8 +2,10 @@
 
 No `asdist` command and no benchmark operation runs these functions, so they
 live beside the tests rather than in `asdist`.  Each is the library's former
-code, moved as it was; it may use private helpers of `asdist`.  The tests
-that use each one:
+code, moved as it was; it may use private helpers of `asdist`.  A former
+method takes its object as the first argument, and `wp_image` and
+`coset_rep` compute what `GF.__init__` once stored.  The tests that use each
+one:
 
 - `normalize_rational`, the normal form of any rational function (through
   `_reduce_finite_block`, `residue_pth_root`, `_padic_digits`,
@@ -14,6 +16,14 @@ that use each one:
   test_scaling_preserves_conductor,
   test_enumerate_classes_below_degree_two_places and
   test_enumerate_classes_matches_exhaustive_rationals.
+- `gf_add`, `pth_root`, `wp_image` and `coset_rep` (from `GF`):
+  `normalize_rational`, and test_oracle's test_field_axioms_exhaustive,
+  test_frobenius_and_pth_root and test_wp_cosets.
+- `rep_conductor` (`ASRep.conductor`): test_oracle's
+  test_rep_conductor_examples, test_scaling_preserves_conductor,
+  test_enumerate_classes_matches_exhaustive_rationals,
+  test_walk_conductor_matches_the_class_conductor and
+  test_census_matches_span_definition.
 - `add_reps` and `scale_rep`, the F_p-linearity of the normal form:
   test_oracle's test_census_matches_span_definition and
   test_add_and_scale_group_laws; `scale_rep` also
@@ -26,6 +36,9 @@ that use each one:
 - `unit_group_size`: test_counting's test_product_count_equals_mobius_sum,
   test_summation_identity_genus0 and test_summation_identity_elliptic_spot,
   and test_oracle's test_class_count_sanity_unit_groups.
+- `divisors` (from `DivisorModule`): test_counting's
+  test_product_count_equals_mobius_sum, test_summation_identity_genus0,
+  test_summation_identity_elliptic_spot and test_module_helpers.
 - `selmer_trivial`: test_counting's test_selmer_criterion and
   test_summation_identity_elliptic_spot.
 - `modules_up_to_degree`: test_counting's
@@ -35,8 +48,20 @@ that use each one:
   test_conductor_series_matches_per_module_counts and
   test_conductor_series_genus2_matches_per_module_counts.
 - `geometric`: test_series's test_mul_geometric_telescopes,
-  test_inv_geometric, test_subst_monomial_zeta_argument,
-  test_pow_negative_inverts and test_partial_sum_and_evaluate.
+  test_inv_geometric, test_subst_monomial_zeta_argument and
+  test_pow_negative_inverts.
+- `substitute` (`TruncatedSeries.subst_monomial`) and `zeta_series` (from
+  `FieldModel`): test_dirichlet's test_error_term_elliptic_models,
+  test_zeta_factor_p2_is_shifted_zeta and
+  test_holomorphic_factor_p2_is_inverse_zeta, and test_acceptance's
+  test_criterion_8_genus1_suite; `substitute` also test_series's
+  test_subst_* tests and test_integer_inputs_give_int_coefficients, and
+  `zeta_series` test_field's test_zeta_* tests.
+- `rational_series` (`RationalFunctionT.series`): test_dirichlet's
+  test_euler_component_q2_closed_form, test_zeta_factor_p2_is_shifted_zeta
+  and test_factorization_identity, and test_acceptance's
+  test_criterion_1_closed_form_p2, test_criterion_3_factorization_identity
+  and test_criterion_9_growth_proxy.
 - `holomorphic_factor_series`: test_acceptance's
   test_criterion_3_factorization_identity and test_dirichlet's
   test_holomorphic_factor_p2_is_inverse_zeta, test_factorization_identity
@@ -56,32 +81,59 @@ that use each one:
 - `empirical_ratio`: test_acceptance's test_criterion_4_exact_constant_p2
   and test_tauberian's test_empirical_ratio_q2 and
   test_empirical_ratio_logarithmic_case.
+- `estimate_value` (`AsymptoticEstimate.value`): `empirical_ratio` and
+  test_tauberian's test_predict_partial_sums_geometric.
 
 The module is not named `reference`: pytest puts both tests/ and bench/ on
 sys.path, and bench/ has a reference.py of its own.
 """
 from __future__ import annotations
 
+import itertools
 from typing import Iterator
 
 import mpmath
 
-from asdist.counting import DivisorModule, abstract_places, wild_exponent
+from asdist.counting import DivisorModule, Place, abstract_places, wild_exponent
 from asdist.dirichlet import (
+    RationalFunctionT,
     _euler_factor_component,
     _holomorphic_factor_terms,
     _one_plus,
     prime_term,
 )
 from asdist.field import FieldModel
-from asdist.oracle import ASRep, irreducibles_up_to, poly_divmod, poly_mod, poly_trim
-from asdist.series import Scalar, TruncatedSeries, euler_product
+from asdist.oracle import (
+    ASRep, _place_key, irreducibles_up_to, poly_divmod, poly_mod, poly_trim,
+)
+from asdist.series import Scalar, TruncatedSeries, euler_product, subst_monomial
+from asdist.series import mul as series_mul
 from asdist.tauberian import (
     DEFAULT_PREC_BITS,
     AsymptoticEstimate,
     MeromorphicModel,
     _imag_guard,
 )
+
+
+# ---------------------------------------------------------------------------
+# the constant field GF (from asdist.oracle)
+
+def gf_add(gf, a, b):
+    return tuple((x + y) % gf.p for x, y in zip(a, b))
+
+
+def pth_root(gf, a):
+    return gf.pow(a, gf.p ** (gf.k - 1))
+
+
+def wp_image(gf) -> frozenset:  # the image of y -> y^p - y on F_q
+    return frozenset(gf.sub(gf.pow(a, gf.p), a) for a in gf.elements())
+
+
+def coset_rep(gf, a):  # the element of gf.coset_reps in a + wp_image(gf)
+    image = wp_image(gf)
+    return next(rep for rep in gf.coset_reps if gf.sub(a, rep) in image)
 
 
 # ---------------------------------------------------------------------------
@@ -92,12 +144,12 @@ def poly_add(a, b, gf):
         a, b = b, a
     out = list(a)
     for i, c in enumerate(b):
-        out[i] = gf.add(out[i], c)
+        out[i] = gf_add(gf, out[i], c)
     return poly_trim(out, gf)
 
 
 def poly_neg(a, gf):
-    return tuple(gf.neg(c) for c in a)
+    return tuple(gf.sub(gf.zero, c) for c in a)
 
 
 def poly_scale(a, c, gf):
@@ -114,7 +166,7 @@ def poly_mul(a, b, gf):
         if x != gf.zero:
             for j, y in enumerate(b):
                 if y != gf.zero:
-                    out[i + j] = gf.add(out[i + j], gf.mul(x, y))
+                    out[i + j] = gf_add(gf, out[i + j], gf.mul(x, y))
     return poly_trim(out, gf)
 
 
@@ -159,11 +211,21 @@ def _padic_digits(poly, base, gf):
 # ---------------------------------------------------------------------------
 # Artin-Schreier normal forms (from asdist.oracle)
 
+def rep_conductor(rep: ASRep) -> DivisorModule:
+    entries = {}
+    if rep.infinity:
+        entries[Place(1, "inf")] = max(j for j, _ in rep.infinity) + 1
+    for poly, block in rep.finite:
+        place = Place(len(poly) - 1, _place_key(poly))
+        entries[place] = max(j for j, _ in block) + 1
+    return DivisorModule.from_entries(entries)
+
+
 def add_reps(a: ASRep, b: ASRep, gf) -> ASRep:
-    constant = gf.add(a.constant, b.constant)
+    constant = gf_add(gf, a.constant, b.constant)
     inf = dict(a.infinity)
     for j, c in b.infinity:
-        s = gf.add(inf.get(j, gf.zero), c)
+        s = gf_add(gf, inf.get(j, gf.zero), c)
         if s == gf.zero:
             inf.pop(j, None)
         else:
@@ -260,13 +322,13 @@ def normalize_rational(gf, num, den) -> ASRep:
                 break
         if top is None:
             break
-        root = gf.pth_root(poly_part[top])
+        root = pth_root(gf, poly_part[top])
         poly_part[top] = gf.zero
-        poly_part[top // gf.p] = gf.add(poly_part[top // gf.p], root)
+        poly_part[top // gf.p] = gf_add(gf, poly_part[top // gf.p], root)
     inf = {
         j: c for j, c in enumerate(poly_part) if j >= 1 and c != gf.zero
     }
-    constant = gf.coset_rep(poly_part[0] if poly_part else gf.zero)
+    constant = coset_rep(gf, poly_part[0] if poly_part else gf.zero)
     return _pack(constant, inf, fin)
 
 
@@ -310,6 +372,16 @@ def _reduce_finite_block(block: dict, modulus, gf):
 # ---------------------------------------------------------------------------
 # modules and unit groups (from asdist.counting)
 
+def divisors(module: DivisorModule) -> Iterator[DivisorModule]:
+    """All effective divisors dividing this module (including 1 and itself)."""
+    places = [p for p, _ in module.entries]
+    ranges = [range(m + 1) for _, m in module.entries]
+    for mults in itertools.product(*ranges):
+        yield DivisorModule(
+            tuple((p, m) for p, m in zip(places, mults) if m > 0)
+        )
+
+
 def unit_group_size(model: FieldModel, module: DivisorModule) -> int:
     """|U_m| = prod over p^m || m of N(p)^{r_m}."""
     size = 1
@@ -346,7 +418,23 @@ def modules_up_to_degree(model: FieldModel, max_degree: int) -> Iterator[Divisor
 
 
 # ---------------------------------------------------------------------------
-# series (from asdist.series and asdist.dirichlet)
+# series (from asdist.series, asdist.field and asdist.dirichlet)
+
+def substitute(f: TruncatedSeries, scale: Scalar, power: int) -> TruncatedSeries:
+    """Substitute t -> scale * t^power; truncation order is preserved."""
+    return TruncatedSeries(subst_monomial(f.coeffs, scale, power, f.order))
+
+
+def zeta_series(model: FieldModel, order: int) -> TruncatedSeries:
+    """Expansion of L(t) / ((1 - t)(1 - q t)) to the given order."""
+    factors = [(model.l_poly, 1), ([1, -1], -1), ([1, -model.q], -1)]
+    return TruncatedSeries(euler_product(factors, order))
+
+
+def rational_series(f: RationalFunctionT, order: int) -> TruncatedSeries:
+    inverse = euler_product([(f.denominator, -1)], order)
+    return TruncatedSeries(series_mul(f.numerator, inverse, order))
+
 
 def geometric(ratio: Scalar, order: int) -> TruncatedSeries:
     """Series of 1/(1 - ratio * t)."""
@@ -420,13 +508,22 @@ def binomial_sum_check(l: int, t_on_circle, m: int, prec_bits: int = DEFAULT_PRE
         return abs(lhs - main) / (radius ** (-m) * mpmath.mpf(m) ** l)
 
 
+def estimate_value(estimate: AsymptoticEstimate, n: int):
+    if n < 1:
+        raise ValueError("estimates are evaluated at n >= 1")
+    v = estimate.constant * mpmath.mpf(estimate.growth) ** n
+    if estimate.log_order > 1:
+        v *= (n * estimate.log_scale) ** (estimate.log_order - 1)
+    return v
+
+
 def empirical_ratio(series: TruncatedSeries, estimate: AsymptoticEstimate, n: int):
     """(partial sum at n) / (predicted value at n), for convergence checks
     along the progression."""
     ell, e = estimate.progression
     if n % ell != e % ell:
         raise ValueError(f"index {n} is off the progression {e} mod {ell}")
-    partial = series.partial_sum(n)
+    partial = sum(series.coeffs[: n + 1])  # an int or a Fraction
     with mpmath.workprec(max(getattr(estimate.constant, "context", mpmath.mp).prec, 64)):
         numer = mpmath.mpf(partial.numerator) / partial.denominator
-        return numer / estimate.value(n)
+        return numer / estimate_value(estimate, n)

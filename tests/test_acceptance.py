@@ -14,9 +14,6 @@ Tolerances are pinned here and nowhere looser elsewhere:
 import time
 from fractions import Fraction
 
-import mpmath
-import pytest
-
 from asdist import (
     RationalFunctionT,
     closed_form_constant,
@@ -42,6 +39,9 @@ from reference_impl import (
     euler_factor_closed_form_check,
     holomorphic_factor_series,
     predict_coefficients,
+    rational_series,
+    substitute,
+    zeta_series,
 )
 
 
@@ -55,7 +55,8 @@ def test_criterion_1_closed_form_p2():
     model = rational_field(2)
     group = subgroup_count_poly(2, 1)
     series = conductor_series(model, group, 20)
-    closed = RationalFunctionT((1, 0, -1), (1, 0, -4)).series(20).scale(2) - 1
+    closed = rational_series(RationalFunctionT((1, 0, -1), (1, 0, -4)), 20)
+    closed = closed.scale(2) + (-1)
     elapsed = time.monotonic() - start
     ok = series == closed and elapsed < 1.0
     _report(1, "p=2 closed form 2(1-t^2)/(1-4t^2) - 1 to order 20, < 1 s", ok)
@@ -84,7 +85,7 @@ def test_criterion_3_factorization_identity():
         group = subgroup_count_poly(p, r)
         lhs = euler_component_series(model, group, r, 12)
         rhs = holomorphic_factor_series(model, p, r, 12).mul(
-            zeta_factor_rational(model, p, r).series(12)
+            rational_series(zeta_factor_rational(model, p, r), 12)
         )
         ok = ok and lhs == rhs
     for p in (2, 3, 5, 7):
@@ -164,8 +165,8 @@ def test_criterion_8_genus1_suite():
         [Fraction(-1)] + [Fraction(0)] * 12
     )
     # 1 + 2(1/zeta_F(2s) - 1) = -1 + 2/zeta_F(2s)
-    inv_zeta2 = ell_b.zeta_series(12).inv().subst_monomial(1, 2)
-    ok = ok and error_term_series(ell_b, group, 12) == inv_zeta2.scale(2) - 1
+    inv_zeta2 = substitute(zeta_series(ell_b, 12).inv(), 1, 2)
+    ok = ok and error_term_series(ell_b, group, 12) == inv_zeta2.scale(2) + (-1)
     view = discriminant_view(ell_a, subgroup_count_poly(2, 2), 8)
     ok = ok and view.z_table is None and view.lower_exponent is not None \
         and view.upper_exponent is not None
@@ -178,7 +179,7 @@ def test_criterion_9_growth_proxy():
     group = subgroup_count_poly(2, 1)
     order = 30
     phi = conductor_series(model, group, order)
-    lam = zeta_factor_rational(model, 2, 1).series(order)
+    lam = rational_series(zeta_factor_rational(model, 2, 1), order)
     quotient = phi.mul(lam.inv())
     # target growth q^{a - 1/(2p) + 0.05} = 2^{0.8}
     base = 2 ** 0.8

@@ -237,6 +237,9 @@ def test_impossible_models_and_modules_exit_2(capsys):
     code, _, err = run(capsys, "conductor", "--q", "2", "--p", "2",
                        "--module", "1.a^2,1.b^2,1.c^2,1.d^2")
     assert code == 2 and "places of degree 1" in err
+    code, out, err = run(capsys, "conductor", "--q", "2", "--p", "2",
+                         "--module", "20000^2")
+    assert (code, out) == (2, "") and "--module" in err
     for argv in (
         ["series", "--q", "2", "--p", "2", "--order", "-1"],
         ["count", "--q", "2", "--p", "2", "--order", "-1"],
@@ -262,6 +265,8 @@ def test_impossible_models_and_modules_exit_2(capsys):
         ["poles", "--q", "5", "--p", "3"],
         ["poles", "--q", "0", "--p", "2"],
         ["oracle", "--q", "6", "--p", "2", "--bound", "2"],
+        ["poles", "--q", "2", "--p", "2", "--r", "65"],
+        ["series", "--q", "2", "--p", "2", "--r", "65"],
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv

@@ -1,6 +1,7 @@
 """Per-conductor counting: e(X), wild exponents, Selmer criterion,
 exceptional modules, and the conductor-count case analysis."""
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from asdist import (
 from asdist.counting import _as_nonneg_int, _is_exceptional
 from asdist.errors import ConsistencyError
 from reference_impl import (
+    divisors,
     modules_up_to_degree,
     selmer_trivial,
     unit_group_size,
@@ -79,7 +81,8 @@ def test_e_poly_structure(p, r):
     assert g.quotient_count(1) == sum(g.e_coeffs, Fraction(0))
     for i in range(r - 1):
         assert g.quotient_count(p**i) == 0
-    assert g.e_coeffs[r] == Fraction(g.group_order, g.aut_order)
+    # e_r = |G| / |Aut G| = p^r / |GL_r(F_p)|
+    assert g.e_coeffs[r] == Fraction(p**r, math.prod(p**r - p**i for i in range(r)))
 
 
 def test_wild_exponent_examples():
@@ -214,12 +217,13 @@ def _mobius_sum(model, group, module, i):
     """Independent form of the multiplicative count: sum over divisors n of
     m of mu(m/n) |U_n|^i."""
     total = 0
-    for n in module.divisors():
+    for n in divisors(module):
+        below = dict(n.entries)
         comp = DivisorModule(
             tuple(
-                (p, module.multiplicity(p) - n.multiplicity(p))
-                for p, _ in module.entries
-                if module.multiplicity(p) > n.multiplicity(p)
+                (p, m - below.get(p, 0))
+                for p, m in module.entries
+                if m > below.get(p, 0)
             )
         )
         total += comp.mobius() * unit_group_size(model, n) ** i
@@ -246,7 +250,7 @@ def test_summation_identity_genus0(q, p, r):
     model = rational_field(q, p)
     group = subgroup_count_poly(p, r)
     for module in modules_up_to_degree(model, 6):
-        total = sum(conductor_count(model, group, n) for n in module.divisors())
+        total = sum(conductor_count(model, group, n) for n in divisors(module))
         assert total == group.quotient_count(unit_group_size(model, module))
 
 
@@ -257,7 +261,7 @@ def test_summation_identity_elliptic_spot():
     group = subgroup_count_poly(2, 1)
     module = DivisorModule.from_entries({Place(1, "0"): 2})
     assert selmer_trivial(model, module)
-    total = sum(conductor_count(model, group, n) for n in module.divisors())
+    total = sum(conductor_count(model, group, n) for n in divisors(module))
     assert total == group.quotient_count(unit_group_size(model, module))
     # concretely: c_1 = e(2) = 3 already exhausts e(|U_m|), so c_{P^2} = 0
     assert total == 3
@@ -268,12 +272,11 @@ def test_module_helpers():
     p1, p2 = Place(1, "a"), Place(2, "b")
     m = DivisorModule.from_entries({p1: 2, p2: 1})
     assert m.degree == 4
-    assert m.multiplicity(p1) == 2 and m.multiplicity(Place(3)) == 0
-    assert not m.is_squareful() and not m.is_squarefree()
+    assert not m.is_squarefree()
     assert m.mobius() == 0
     assert DivisorModule.from_entries({p1: 1, p2: 1}).mobius() == 1
     assert DivisorModule.from_entries({p1: 1}).mobius() == -1
-    assert len(list(m.divisors())) == 6
+    assert len(list(divisors(m))) == 6
     with pytest.raises(ValueError):
         DivisorModule.from_entries({p1: 0})
     with pytest.raises(ValueError):

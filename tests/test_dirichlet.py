@@ -30,6 +30,9 @@ from reference_impl import (
     euler_factor_closed_form_check,
     holomorphic_factor_series,
     modules_up_to_degree,
+    rational_series,
+    substitute,
+    zeta_series,
 )
 
 Q2 = rational_field(2)
@@ -50,7 +53,7 @@ def test_prime_term_mapping():
 def test_euler_component_q2_closed_form():
     got = euler_component_series(Q2, C2, 1, 6)
     # (1 - t^2)/(1 - 4 t^2)
-    expected = RationalFunctionT((1, 0, -1), (1, 0, -4)).series(6)
+    expected = rational_series(RationalFunctionT((1, 0, -1), (1, 0, -4)), 6)
     assert got == expected
     assert [int(c) for c in got.coeffs] == [1, 0, 3, 0, 12, 0, 48]
 
@@ -77,8 +80,8 @@ def test_error_term_elliptic_models():
     assert error_term_series(ELL_A, C2, 8) == TruncatedSeries.constant(-1, 8)
     # L = 1 - t + 2t^2, |Cl[2]| = 2: c~_1 = e(2) - e(1) = 2, and the trivial
     # module itself contributes e_0, so Upsilon = -1 + 2/zeta_F(2s)
-    inv_zeta2 = ELL_B.zeta_series(8).inv().subst_monomial(1, 2)
-    assert error_term_series(ELL_B, C2, 8) == inv_zeta2.scale(2) - 1
+    inv_zeta2 = substitute(zeta_series(ELL_B, 8).inv(), 1, 2)
+    assert error_term_series(ELL_B, C2, 8) == inv_zeta2.scale(2) + (-1)
 
 
 def test_conductor_series_examples():
@@ -160,9 +163,8 @@ def test_zeta_factor_p2_is_shifted_zeta():
     # p = 2: Lambda_r = zeta_F(2s - r), i.e. Z_F evaluated at q^r t^2
     for model, r in [(Q2, 1), (Q2, 2), (ELL_A, 1)]:
         lam = zeta_factor_rational(model, 2, r)
-        expected = model.zeta_series(12)\
-            .subst_monomial(model.q**r, 2)
-        assert lam.series(12) == expected
+        expected = substitute(zeta_series(model, 12), model.q**r, 2)
+        assert rational_series(lam, 12) == expected
 
 
 def test_zeta_factor_p3_structure():
@@ -177,7 +179,7 @@ def test_zeta_factor_p3_structure():
 def test_holomorphic_factor_p2_is_inverse_zeta():
     for model in (Q2, ELL_A, ELL_B):
         psi = holomorphic_factor_series(model, 2, 1, 10)
-        inv_zeta2 = model.zeta_series(10).inv().subst_monomial(1, 2)
+        inv_zeta2 = substitute(zeta_series(model, 10).inv(), 1, 2)
         assert psi == inv_zeta2
         assert psi.coeffs[0] == 1
 
@@ -191,7 +193,7 @@ def test_factorization_identity(p, r, q):
     order = 12
     lhs = euler_component_series(model, group, r, order)
     rhs = holomorphic_factor_series(model, p, r, order).mul(
-        zeta_factor_rational(model, p, r).series(order)
+        rational_series(zeta_factor_rational(model, p, r), order)
     )
     assert lhs == rhs
 
@@ -233,9 +235,8 @@ def test_holomorphic_factor_value_matches_series():
     point = mpmath.mpf("0.05")
     for (p, r, model) in [(2, 1, Q2), (3, 1, Q3), (3, 2, Q3)]:
         series = holomorphic_factor_series(model, p, r, 30)
-        via_series = series.evaluate(
-            point, convert=lambda c: mpmath.mpf(c.numerator) / c.denominator
-        )
+        coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in series.coeffs]
+        via_series = mpmath.polyval(coeffs[::-1], point)
         via_product = holomorphic_factor_value(model, p, r, point, 30)
         assert abs(via_series - via_product) < 1e-12
 

@@ -28,6 +28,7 @@ from asdist.dirichlet import RationalFunctionT, holomorphic_factor_value
 from reference_impl import (
     binomial_sum_check,
     empirical_ratio,
+    estimate_value,
     predict_coefficients,
 )
 
@@ -191,7 +192,7 @@ def test_predict_partial_sums_geometric():
     assert est.log_order == 1
     assert est.progression == (1, 0)
     # partial sums are 2^{m+1} - 1; the model predicts 2 * 2^m
-    assert abs(est.value(20) - 2**21) < 1e-20
+    assert abs(estimate_value(est, 20) - 2**21) < 1e-20
 
 
 def test_predict_partial_sums_conductor_closed_form():
