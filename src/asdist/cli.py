@@ -8,8 +8,8 @@ three formats: human-readable text (default), TSV, or JSON with a fixed schema
 `--genus/--l-poly/--clp-order`.  Exit codes: 0 success, 1 compare mismatch,
 2 invalid input, 3 internal consistency failure.  Invalid input includes a
 `q` that is not a power of `p` (for every command), an `--l-poly` entry
-that is not an integer, an `--r` above 64 and a `conductor --module` of
-degree above the `--order` ceiling.
+that is not an integer, an `--r` above 64, and a `--bound` or a
+`conductor --module` degree above the `--order` ceiling.
 """
 from __future__ import annotations
 
@@ -40,10 +40,11 @@ from .field import make_field_model, rational_field
 from .oracle import DEFAULT_BUDGET, counts_by_degree, oracle_counts
 from .tauberian import DEFAULT_PREC_BITS, closed_form_constant, tauberian_constant
 
-# ceilings on --order (and the degree of --module), --cutoff, --prec-bits
-# and --r, so that a mistyped value exits 2 at once instead of running for
-# hours; at its ceiling a command on a small field takes seconds (series
-# --q 2 --p 2 --order 2000 about 2 s, the O(r^4) rank check at most 0.13 s)
+# ceilings on --order (and --bound and the degree of --module), --cutoff,
+# --prec-bits and --r, so that a mistyped value exits 2 at once instead of
+# running for hours; at its ceiling a command on a small field takes seconds
+# (series --q 2 --p 2 --order 2000 about 2 s, the O(r^4) rank check at most
+# 0.13 s)
 MAX_ORDER = 2000
 MAX_CUTOFF = 200
 MAX_PREC_BITS = 10_000
@@ -305,7 +306,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        for flag, ceiling in (("order", MAX_ORDER), ("cutoff", MAX_CUTOFF),
+        for flag, ceiling in (("order", MAX_ORDER), ("bound", MAX_ORDER),
+                              ("cutoff", MAX_CUTOFF),
                               ("prec_bits", MAX_PREC_BITS), ("r", MAX_RANK)):
             value = getattr(args, flag, 0)  # 0 where a command lacks the flag
             if value > ceiling:
@@ -326,10 +328,15 @@ def run() -> None:
 
     Freezing first moves the import-time heap (mostly sympy and mpmath) to
     the permanent generation, so neither later collections nor the one at
-    interpreter exit walk it again.  `main` itself stays free of this
-    process-wide effect, so it can be called in-process any number of
-    times."""
+    interpreter exit walk it again.  Exact counts can have more digits than
+    Python converts to decimal by default (4,300), so the limit is lifted
+    when no argument is longer than it: an integer in argv still has to
+    fit the limit.  `main` itself stays free of these process-wide effects,
+    so it can be called in-process any number of times."""
     gc.freeze()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit and all(len(arg) <= limit for arg in sys.argv[1:]):
+        sys.set_int_max_str_digits(0)
     sys.exit(main())
 
 

@@ -30,16 +30,29 @@ place left that fits gets none, so its state grows with the number of
 blocks in a class, not with the tables.  It yields each partial class once
 with its conductor as ((place index, top j + 1), ...); the partial class
 stands for p classes, one per constant (p - 1 for the empty one, which
-leaves out zero), and the budget counts those classes.
+leaves out zero).
 Both census paths read the conductor off the walk: for r = 1 the census
 adds p (or p - 1) to that conductor's entry, and for r >= 2 it keeps one
 coordinate vector per class whose pivot coefficient is 1 (below).  No list
-of classes exists.  At (q, p, r, bound) = (3, 3, 1, 8) the walk stands for
-37,178 classes, which would take 4.1 MB held in a list; the census peaks at
-0.17 MB (tracemalloc).  The place list (each place's polynomial, its Place
-and its block table) is built once per census, by a trial-division search
-over every monic polynomial of degree <= bound // 2, so the budget is
-checked against their number before the search starts.
+of classes exists: at (q, p, r, bound) = (3, 3, 1, 8) the walk stands for
+37,178 classes, and the census peaks at 0.17 MB (tracemalloc).  The place
+list (each place's polynomial, its Place and its block table) is built once
+per census, by a trial-division search over every monic polynomial of
+degree <= bound // 2, and the number of places it finds of each degree d
+must be b_d of Gauss's formula (FieldModel.place_counts), infinity being
+one of b_1, or the census raises ConsistencyError.
+
+The budget is checked once, before the census builds F_q, the places or
+the tables, against the exact number of nonzero classes of conductor
+degree <= bound.  Each C_p-extension is a line of p - 1 nonzero classes
+that share one conductor, so that number is p - 1 times the r = 1 counting
+function at the bound.  No count the census reports comes from a formula;
+the r = 1 series only sizes the budget.  A free first test comes before
+the series: a place of degree d alone gives (q^d - 1) p >= q^d classes of
+conductor degree 2d, so there are at least as many classes as monic
+polynomials of degree <= bound // 2, and a budget below their number
+refuses at once.  That caps the bound near 2 log_q(budget) before a series
+of order bound is built.
 
 The normal form is F_p-linear in fixed slots: the constant i*unit gives one
 coordinate i, a term a_j x^j gives the F_p-components of a_j, and a fraction
@@ -67,10 +80,12 @@ vectors only in the groups that fit.  The budget counts those vectors:
 from __future__ import annotations
 
 import bisect
+import collections
 import itertools
 from dataclasses import dataclass
 
 from .counting import DivisorModule, Place, subgroup_count_poly
+from .dirichlet import counting_function
 from .errors import BudgetExceededError, ConsistencyError, ModelError
 from .field import prime_power_exponent, rational_field
 
@@ -245,16 +260,10 @@ def _local_blocks(payloads, degree: int, bound: int, p: int) -> list:
     return out
 
 
-def census_places(gf, bound: int, budget: int = DEFAULT_BUDGET) -> list:
+def census_places(gf, bound: int) -> list:
     """(polynomial, Place, block table) of each place a class of conductor
     degree <= bound can use, in normal-form order: infinity (polynomial
-    None), then the finite places by (deg P, P).  The search tries every
-    monic polynomial of degree <= bound // 2, so the budget covers them."""
-    candidates = sum(gf.q**d for d in range(1, bound // 2 + 1))
-    if candidates > budget:
-        raise BudgetExceededError(
-            f"the place search ({candidates} polynomials) exceeds the budget {budget}"
-        )
+    None), then the finite places by (deg P, P)."""
     # the places of one kind and degree share one payload set, hence one
     # block table; the zero payload comes first, as _local_blocks expects
     inf_blocks = _local_blocks(tuple(gf.elements()), 1, bound, gf.p)
@@ -269,6 +278,12 @@ def census_places(gf, bound: int, budget: int = DEFAULT_BUDGET) -> list:
             )
             tables[degree] = _local_blocks(payloads, degree, bound, gf.p)
         places.append((poly, Place(degree, _place_key(poly)), tables[degree]))
+    found = collections.Counter(place.degree for _, place, _ in places)
+    expected = rational_field(gf.q, gf.p).place_counts(bound // 2)
+    if [found[d] for d in range(1, bound // 2 + 1)] != expected:
+        raise ConsistencyError(f"the place search found {sorted(found.items())} "
+                               f"places by degree, but Gauss's formula gives "
+                               f"{expected} for degrees 1..{bound // 2}")
     return places
 
 
@@ -295,45 +310,51 @@ def _children(inf, fin, cond, remaining, lo, places, doubled):
             )
 
 
-def iter_partial_classes(gf, places, bound: int, budget: int = DEFAULT_BUDGET):
+def iter_partial_classes(places, bound: int):
     """Yield each partial class (a class's blocks, without its constant) of
     conductor degree <= bound once, as (infinity, finite, cond): its ASRep
     fields and its conductor ((index into places, top j + 1), ...).  Its
     classes take each of gf.coset_reps as constant, but zero for the empty
-    one, and the budget counts them: BudgetExceededError is raised instead
-    of yielding past it."""
+    one."""
     # depth first, one generator of children per depth.  A place of degree
     # d fits while 2 * d <= remaining (see the module docstring); doubled
     # ends in bound + 1, which no degree left reaches, so a child of the
     # last place has no places left and, like every leaf, gets no generator
     doubled = [2 * place.degree for _, place, _ in places] + [bound + 1]
-    emitted, classes = 0, gf.p - 1  # the empty partial class skips zero
     stack = [iter([((), (), (), bound, 0)])]
     while stack:
         for inf, fin, cond, remaining, lo in stack[-1]:
-            emitted += classes
-            if emitted > budget:
-                raise BudgetExceededError(
-                    f"class enumeration exceeded the budget {budget}"
-                )
             yield inf, fin, cond
-            classes = gf.p
             if doubled[lo] <= remaining:
-                stack.append(
-                    _children(inf, fin, cond, remaining, lo, places, doubled)
-                )
+                stack.append(_children(inf, fin, cond, remaining, lo, places, doubled))
                 break
         else:
             stack.pop()
 
 
+def _check_budget(model, bound: int, budget: int) -> None:
+    """Raise BudgetExceededError unless the nonzero classes of conductor
+    degree <= bound over the rational field `model` fit the budget (see
+    the module docstring)."""
+    polynomials = sum(model.q**d for d in range(1, bound // 2 + 1))
+    if polynomials > budget:
+        raise BudgetExceededError(f"the place search ({polynomials} polynomials) "
+                                  f"exceeds the budget {budget}")
+    group = subgroup_count_poly(model.p, 1)
+    classes = (model.p - 1) * counting_function(model, group, bound)[-1]
+    if classes > budget:
+        raise BudgetExceededError(f"the census ({classes} classes) exceeds "
+                                  f"the budget {budget}")
+
+
 def enumerate_classes(gf, bound: int, budget: int = DEFAULT_BUDGET) -> list:
     """Every nonzero normal-form class whose conductor degree is <= bound,
     as a list of ASReps, the classes of each partial class together."""
-    places = census_places(gf, bound, budget)
+    _check_budget(rational_field(gf.q, gf.p), bound, budget)
+    places = census_places(gf, bound)
     return [
         ASRep(constant, inf, fin)
-        for inf, fin, cond in iter_partial_classes(gf, places, bound, budget)
+        for inf, fin, cond in iter_partial_classes(places, bound)
         for constant in (gf.coset_reps if cond else gf.coset_reps[1:])
     ]
 
@@ -454,13 +475,14 @@ def oracle_counts(
 ) -> dict:
     """Census of C_p^r-extensions of F_q(x) by conductor, up to conductor
     degree `bound`: returns {DivisorModule: count}."""
-    rational_field(q, p)  # validates q and p
+    model = rational_field(q, p)  # validates q and p
     subgroup_count_poly(p, r)  # validates r
     if bound < 0:
         raise ModelError(f"conductor degree bound must be >= 0, got {bound}")
+    _check_budget(model, bound, budget)
     gf = GF(p, prime_power_exponent(q, p))
-    places = census_places(gf, bound, budget)
-    partials = iter_partial_classes(gf, places, bound, budget)
+    places = census_places(gf, bound)
+    partials = iter_partial_classes(places, bound)
     if r > 1:
         return _subspace_census(partials, places, r, bound, budget)
     # a partial class stands for p classes, or p - 1 for the empty one

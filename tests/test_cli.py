@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -267,10 +268,14 @@ def test_impossible_models_and_modules_exit_2(capsys):
         ["oracle", "--q", "6", "--p", "2", "--bound", "2"],
         ["poles", "--q", "2", "--p", "2", "--r", "65"],
         ["series", "--q", "2", "--p", "2", "--r", "65"],
+        ["oracle", "--q", "2", "--p", "2", "--bound", "100000"],
+        ["compare", "--q", "2", "--p", "2", "--bound", "100000"],
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error:"), argv
+        if argv[-1] == "100000":
+            assert "--bound" in err, argv
 
 
 def test_genus2_exceptional_module_needs_its_count_under_any_label(capsys):
@@ -308,6 +313,34 @@ def test_entry_point_freezes_the_heap_before_main():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) > 0
+
+
+def test_entry_point_prints_counts_of_any_length():
+    # the count has 6,361 digits, more than Python converts to decimal by
+    # default (4,300); an integer in argv must still fit that limit
+    src = str(Path(asdist.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    count = asdist.conductor_count(
+        asdist.rational_field(59049, 3), asdist.subgroup_count_poly(3, 1),
+        parse_module("1^2000"),
+    )
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "asdist.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    for fmt in ("text", "json"):
+        proc = cli("conductor", "--q", "59049", "--p", "3",
+                   "--module", "1^2000", "--format", fmt)
+        assert proc.returncode == 0, proc.stderr
+        digits = max(re.findall(r"\d+", proc.stdout), key=len)
+        assert len(digits) == 6361
+        assert Decimal(digits) == count
+    proc = cli("series", "--q", "1" * 5000, "--p", "2")
+    assert proc.returncode == 2 and "invalid int value" in proc.stderr
 
 
 def test_main_does_not_freeze(capsys):

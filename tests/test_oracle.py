@@ -23,6 +23,7 @@ from asdist import (
     rational_field,
     subgroup_count_poly,
 )
+from asdist.field import prime_power_exponent
 from asdist.oracle import (
     GF,
     ASRep,
@@ -333,15 +334,15 @@ def test_census_streams_its_classes():
 
 
 def test_walk_state_does_not_grow_with_its_tables():
-    # at (2, 2, 1, 20) the walk has 227 places, and the block table at
+    # at (GF(2), 20) the walk has 227 places, and the block table at
     # infinity alone holds 1,023 entries; it keeps one child generator per
-    # depth, so running into the budget costs little more than building its
-    # tables.
-    # The place search tries 2,046 polynomials, so the budget lets it run
+    # depth, so walking all 1,048,576 partial classes costs little more
+    # than building its tables
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetExceededError):
-            oracle_counts(2, 2, 1, 20, budget=3000)
+        places = census_places(GF(2, 1), 20)
+        for _ in iter_partial_classes(places, 20):
+            pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -374,24 +375,19 @@ def test_walk_conductor_matches_the_class_conductor(p, k, bound):
     # reference is rep_conductor, which rebuilds it from the blocks
     gf = GF(p, k)
     places = census_places(gf, bound)
-    partials = list(iter_partial_classes(gf, places, bound))
+    partials = list(iter_partial_classes(places, bound))
     assert len(partials) > 1
     for inf, fin, cond in partials:
         assert cond_module(places, cond) == rep_conductor(ASRep(gf.zero, inf, fin))
 
 
-def reference_walk(gf, places, bound, budget):
+def reference_walk(places, bound):
     """The walk order of the oracle module docstring as a plain recursive
     generator: a partial class, then the walk of each child, the children
     from the last place down to the one after the last block's place and,
     at each place, its blocks in table order while they fit."""
-    emitted = 0
 
     def walk(inf, fin, cond, remaining, lo):
-        nonlocal emitted
-        emitted += gf.p if cond else gf.p - 1
-        if emitted > budget:
-            raise BudgetExceededError("reference walk")
         yield inf, fin, cond
         for i in range(len(places) - 1, lo - 1, -1):
             poly, _, blocks = places[i]
@@ -414,25 +410,9 @@ def test_walk_order_matches_the_reference(p, k, bound):
     # fixes the pivot order and how much budget the r >= 2 census uses
     gf = GF(p, k)
     places = census_places(gf, bound)
-    walked = list(iter_partial_classes(gf, places, bound))
+    walked = list(iter_partial_classes(places, bound))
     assert len(walked) > 1
-    assert walked == list(reference_walk(gf, places, bound, 10**7))
-
-
-def test_walk_stops_where_the_reference_does():
-    # (GF(3), 6) has 4,130 classes, so a budget of 4,129 stops on the last
-    def yielded_before_budget(walk):
-        n = 0
-        with pytest.raises(BudgetExceededError):
-            for _ in walk:
-                n += 1
-        return n
-
-    gf = GF(3, 1)
-    places = census_places(gf, 6)
-    n = yielded_before_budget(iter_partial_classes(gf, places, 6, 4129))
-    assert n == yielded_before_budget(reference_walk(gf, places, 6, 4129))
-    assert n == 1376
+    assert walked == list(reference_walk(places, bound))
 
 
 def test_walk_budget_counts_classes():
@@ -451,6 +431,50 @@ def test_place_search_is_within_the_budget():
     with pytest.raises(BudgetExceededError, match="place search"):
         oracle_counts(2, 2, 1, 26, budget=1000)
     assert time.monotonic() - start < 0.5
+
+
+# every (q, p, bound) at which a census in this file runs to its end, but
+# (2, 2, 20), whose walk takes seconds
+CENSUS_SIZES = [
+    (2, 2, 4), (2, 2, 5), (2, 2, 6), (2, 2, 7), (2, 2, 8), (3, 3, 3),
+    (3, 3, 4), (3, 3, 5), (3, 3, 6), (3, 3, 8), (4, 2, 4), (4, 2, 5),
+    (4, 2, 6), (5, 5, 4), (9, 3, 4),
+]
+
+
+@pytest.mark.parametrize("q,p,bound", CENSUS_SIZES)
+def test_budget_is_the_exact_class_count(monkeypatch, q, p, bound):
+    # the budget check sizes the census from the r = 1 series; the walk must
+    # have exactly that many classes, a budget of that many must run, and
+    # one less must stop before F_q is built
+    series = conductor_series(rational_field(q, p), subgroup_count_poly(p, 1), bound)
+    count = (p - 1) * sum(int(c) for c in series.coeffs)
+    places = census_places(GF(p, prime_power_exponent(q, p)), bound)
+    walk = iter_partial_classes(places, bound)
+    assert sum(p if cond else p - 1 for _, _, cond in walk) == count
+    oracle_counts(q, p, 1, bound, budget=count)
+
+    def no_field(*args):
+        raise AssertionError("F_q built before the budget check")
+
+    monkeypatch.setattr(asdist.oracle, "GF", no_field)
+    for r in (1, 2):
+        with pytest.raises(BudgetExceededError, match="census"):
+            oracle_counts(q, p, r, bound, budget=count - 1)
+
+
+def test_place_search_is_checked_against_gauss(monkeypatch):
+    from asdist.cli import main
+
+    real = asdist.oracle.irreducibles_up_to
+    # without its last polynomial the search finds one place too few
+    monkeypatch.setattr(
+        asdist.oracle, "irreducibles_up_to",
+        lambda gf, max_degree: real(gf, max_degree)[:-1],
+    )
+    with pytest.raises(ConsistencyError, match="Gauss"):
+        census_places(GF(2, 1), 6)
+    assert main(["oracle", "--q", "2", "--p", "2", "--bound", "6"]) == 3
 
 
 def test_uneven_orbit_split_is_a_consistency_error(monkeypatch):
