@@ -17,6 +17,7 @@ import argparse
 import gc
 import json
 import sys
+from collections.abc import Iterator
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -58,7 +59,7 @@ def _jsonable(value):
         return int(value) if value.denominator == 1 else str(value)
     if isinstance(value, (mpmath.mpf, mpmath.mpc)):
         return mpmath.nstr(value, _FLOAT_DIGITS)
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, Iterator)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
@@ -162,7 +163,9 @@ def cmd_poles(args) -> int:
     rational_field(args.q, args.p)  # validates q and p
     subgroup_count_poly(args.p, args.r)  # validates r
     report = pole_analysis(args.p, args.r)
-    return _emit(args, [{**asdict(report), "pole_angles": report.pole_angles}],
+    ell = report.progression
+    angles = (Fraction(j, ell) for j in range(ell))  # built only for JSON
+    return _emit(args, [{**asdict(report), "pole_angles": angles}],
                  [("abscissa", report.abscissa),
                   ("log_order", report.log_order),
                   ("progression", report.progression)],
@@ -209,11 +212,12 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    # the census checks the inputs first, so errors read as in `oracle`
+    counts = oracle_counts(args.q, args.p, args.r, args.bound, args.budget)
+    actual = counts_by_degree(counts, args.bound)
     model = rational_field(args.q, args.p)
     group = subgroup_count_poly(args.p, args.r)
     expected = [int(c) for c in conductor_series(model, group, args.bound).coeffs]
-    counts = oracle_counts(args.q, args.p, args.r, args.bound, args.budget)
-    actual = counts_by_degree(counts, args.bound)
     degrees = range(args.bound + 1)
     mismatches = [(n, expected[n], actual[n])
                   for n in degrees if expected[n] != actual[n]]

@@ -16,7 +16,7 @@ import mpmath
 from .counting import (
     GroupSpec, exceptional_correction, exceptional_modules, wild_exponent,
 )
-from .errors import ConsistencyError, ModelError, PrecisionError
+from .errors import ConsistencyError, ModelError, PrecisionError, UnsupportedInputError
 from .field import FieldModel
 from .series import TruncatedSeries, euler_product, mul as poly_mul, subst_monomial
 
@@ -112,6 +112,18 @@ def error_term_series(model: FieldModel, group: GroupSpec, order: int) -> Trunca
     # finitely many small-degree primes
     threshold = 2 * model.genus - 2
     counts = model.place_counts(threshold) if threshold >= 1 else []
+    # every nontrivial exceptional module needs a count from the model, and
+    # there are (2g)^n - 1 of them over the n places of degree <= 2g - 2:
+    # refuse a short model before enumerating them.  The exponent is capped
+    # where (2g)^cap already exceeds any supply, so no huge power is built.
+    supplied = len(model.exceptional_count_map())
+    n = min(sum(counts), supplied.bit_length() + 1)
+    if (2 * model.genus) ** n - 1 > supplied:
+        raise UnsupportedInputError(
+            f"missing exceptional conductor count: genus {model.genus} needs "
+            f"one for each of the {2 * model.genus}^{sum(counts)} - 1 "
+            f"nontrivial exceptional modules, the model supplies {supplied}"
+        )
     inv_zeta_2s = [(subst_monomial(model.l_poly, 1, 2), -1),
                    (_one_plus([(2, -1)]), 1), (_one_plus([(2, -model.q)]), 1)]
     small = [(_one_plus([(2 * d, -1)]), -b_d) for d, b_d in enumerate(counts, start=1)]
@@ -150,6 +162,25 @@ def zeta_factor_binomials(p: int, r: int) -> list:
     factor, as (l, e) pairs: zeta(l s - (l-1) r) is
     L(c t^l) / ((1 - c t^l)(1 - q c t^l)) with c = q^((l-1) r)."""
     return [(l, (l - 1) * r + k) for l in range(2, p + 1) for k in (0, 1)]
+
+
+def critical_poles(p: int, r: int) -> tuple:
+    """(a, ell, vanishing): the poles of the meromorphic factor on its
+    circle of convergence |t| = q^(-a), read off `zeta_factor_binomials`.
+    a is the largest e / l.  The poles sit among z_j = q^(-a) xi^(-j),
+    xi = exp(2 pi i / ell), with ell the lcm of the l with l a = e; such a
+    binomial vanishes at z_j exactly when ell | j l.  `vanishing` maps each
+    j in 1..ell where some binomial vanishes to those binomials, and their
+    number is the order of the pole z_j."""
+    binomials = zeta_factor_binomials(p, r)
+    a = max(Fraction(e, l) for l, e in binomials)
+    top = [(l, e) for l, e in binomials if l * a == e]
+    ell = lcm(*(l for l, _ in top))
+    vanishing: dict = {}
+    for l, e in top:
+        for j in range(ell // l, ell + 1, ell // l):
+            vanishing.setdefault(j, []).append((l, e))
+    return a, ell, vanishing
 
 
 def zeta_factor_rational(model: FieldModel, p: int, r: int) -> RationalFunctionT:
@@ -236,20 +267,11 @@ class PoleReport:
     progression: int  # period l: every pole on the circle is at an angle j/l
     max_order_angles: tuple
 
-    @property
-    def pole_angles(self) -> tuple:  # fractions of a full turn, built on demand
-        return tuple(Fraction(j, self.progression) for j in range(self.progression))
-
 
 def pole_analysis(p: int, r: int) -> PoleReport:
-    abscissa = Fraction(1 + (p - 1) * r, p)
-    if r == 1:
-        order = p - 1
-        ell = lcm(*range(2, p + 1)) if p > 2 else 2
-    else:
-        order = 1
-        ell = p
-    return PoleReport(abscissa, order, ell, (Fraction(0),))
+    a, ell, vanishing = critical_poles(p, r)
+    order = max(map(len, vanishing.values()))
+    return PoleReport(a, order, ell, (Fraction(0),))
 
 
 def counting_function(model: FieldModel, group: GroupSpec, up_to_degree: int) -> list:
@@ -278,7 +300,7 @@ class DiscriminantView:
 
 def exponent_comparison(p: int, r: int) -> tuple:
     """(lower exponent, tame Malle exponent, comparison sign)."""
-    a_lower = Fraction(1 + (p - 1) * r, p * (p**r - 1))
+    a_lower = pole_analysis(p, r).abscissa / (p**r - 1)
     a_malle = Fraction(p, (p**r) * (p - 1))
     numerator = ((r - 1) * (p - 1) ** 2 - p) * p ** (r - 1) + p
     if numerator < 0:
@@ -296,7 +318,7 @@ def discriminant_view(
     if up_to_degree < 0:
         raise ModelError(f"order must be >= 0, got {up_to_degree}")
     a_lower, a_malle, sign = exponent_comparison(p, r)
-    d_upper = Fraction(1 + (p - 1) * r, p * (p**r - p ** (r - 1)))
+    d_upper = pole_analysis(p, r).abscissa / (p**r - p ** (r - 1))
     z_table = None
     if r == 1:
         # discriminant degree is (p-1) times the conductor degree

@@ -24,13 +24,13 @@ from .counting import GroupSpec
 from .dirichlet import (
     DEFAULT_PREC_BITS,
     RationalFunctionT,
+    critical_poles,
     holomorphic_factor_at_abscissa,
     holomorphic_factor_value,
     pole_analysis,
     zeta_factor_binomials,
 )
 from .errors import (
-    ConsistencyError,
     ModelError,
     PrecisionError,
     UnsupportedInputError,
@@ -179,29 +179,17 @@ def zeta_factor_poles(
     vanishes and keeps the poles of maximal order, in increasing j.
 
     The poles on the circle |t| = R = q^(-a) sit among z_j = R xi^(-j),
-    xi = exp(2 pi i / ell), with a and ell from `pole_analysis`.  The
-    binomial (l, e) vanishes at z_j exactly when l a = e and ell | j l, and
-    then 1 - q^e t^l ~ -(l / z_j)(t - z_j).  So the order of z = z_j is
-    the number of those binomials, and its principal coefficient
-    lim (t - z)^b f(t) is (-z)^b N(z) / (prod_vanishing l *
+    xi = exp(2 pi i / ell), and `critical_poles` gives a, ell and the
+    binomials that vanish at each z_j.  A vanishing binomial has
+    1 - q^e t^l ~ -(l / z_j)(t - z_j), so the principal coefficient
+    lim (t - z)^b f(t) of z = z_j is (-z)^b N(z) / (prod_vanishing l *
     prod_other (1 - q^e z^l)) times correction(z), with the numerator
     N(t) = prod_l L(q^((l-1) r) t^l).  N has no zero on the circle when L
     satisfies the Riemann hypothesis.
     """
-    report = pole_analysis(p, r)
-    a, ell, q = report.abscissa, report.progression, model.q
-    binomials = zeta_factor_binomials(p, r)
-    vanishing: dict = {}  # j -> the binomials that vanish at z_j
-    for l, e in binomials:
-        if l * a == e:
-            step = ell // math.gcd(ell, l)
-            for j in range(step, ell + 1, step):
-                vanishing.setdefault(j, []).append((l, e))
-    order = max(map(len, vanishing.values()), default=0)
-    if order != report.log_order:
-        raise ConsistencyError(
-            f"binomials give pole order {order}, expected {report.log_order}"
-        )
+    a, ell, vanishing = critical_poles(p, r)
+    q, binomials = model.q, zeta_factor_binomials(p, r)
+    order = max(map(len, vanishing.values()))
     with mpmath.workprec(prec_bits):
         radius = mpmath.mpf(q) ** (-mpmath.mpf(a.numerator) / a.denominator)
         root = int(mpmath.nint(1 / radius))

@@ -276,6 +276,11 @@ def test_impossible_models_and_modules_exit_2(capsys):
         assert err.startswith("error:"), argv
         if argv[-1] == "100000":
             assert "--bound" in err, argv
+    # compare checks its input as the census does, so both say the same
+    errs = [run(capsys, command, "--q", "2", "--p", "2", "--bound", "-1")[2]
+            for command in ("compare", "oracle")]
+    assert errs[0] == errs[1] == (
+        "error: conductor degree bound must be >= 0, got -1\n")
 
 
 def test_genus2_exceptional_module_needs_its_count_under_any_label(capsys):
@@ -285,6 +290,42 @@ def test_genus2_exceptional_module_needs_its_count_under_any_label(capsys):
                              "--module", module)
         assert code == 2 and out == ""
         assert "missing exceptional conductor count" in err
+
+
+def _cli_process(*argv, timeout, address_space=None):
+    """`python -m asdist.cli argv` as a child process, killed after
+    `timeout` seconds, its address space capped at `address_space` bytes."""
+    src = str(Path(asdist.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def cap():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    return subprocess.run([sys.executable, "-m", "asdist.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=timeout,
+                          preexec_fn=cap if address_space else None)
+
+
+def test_genus2_series_without_counts_exits_2_at_once():
+    # the genus-2 field over F_3 has 13 places of degree <= 2, so 4^13
+    # exceptional modules; they were once all built before the first
+    # missing count was noticed, a run that grew without bound
+    proc = _cli_process("series", "--q", "3", "--p", "3", "--genus", "2",
+                        "--l-poly", "1,0,6,0,9", "--order", "5",
+                        timeout=10, address_space=1 << 30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "missing exceptional conductor count" in proc.stderr
+
+
+def test_poles_text_and_tsv_at_p17_run_at_once():
+    # the period is lcm(2..17) = 12,252,240; only JSON lists the lattice
+    for fmt in ("text", "tsv"):
+        proc = _cli_process("poles", "--q", "17", "--p", "17", "--format", fmt,
+                            timeout=5)
+        assert proc.returncode == 0, proc.stderr
+        assert "12252240" in proc.stdout
 
 
 def test_invalid_input_exit_code(capsys):

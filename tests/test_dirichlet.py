@@ -1,6 +1,7 @@
 """Dirichlet-series assembly, zeta factorization, poles, derived views."""
 import tracemalloc
 from fractions import Fraction
+from math import lcm
 
 import mpmath
 import pytest
@@ -252,6 +253,18 @@ def test_pole_analysis_examples():
     assert rep.abscissa == Fraction(9, 5)
     assert (rep.log_order, rep.progression) == (1, 5)
     assert rep.max_order_angles == (Fraction(0),)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19])
+def test_pole_analysis_matches_the_closed_form(p, r):
+    # the paper's closed form: at r = 1 every l = 2..p reaches the abscissa
+    # 1, so the pole at t = 1/q has order p - 1 and the period is
+    # lcm(2..p); at r >= 2 only l = p does, with a simple pole and period p
+    rep = pole_analysis(p, r)
+    assert rep.abscissa == Fraction(1 + (p - 1) * r, p)
+    assert rep.log_order == (p - 1 if r == 1 else 1)
+    assert rep.progression == (lcm(*range(2, p + 1)) if r == 1 else p)
 
 
 def test_counting_function():

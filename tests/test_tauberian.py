@@ -6,9 +6,7 @@ import mpmath
 import pytest
 import sympy
 
-import asdist.tauberian
 from asdist import (
-    ConsistencyError,
     FieldModel,
     ModelError,
     PrecisionError,
@@ -24,7 +22,9 @@ from asdist import (
     zeta_factor_poles,
     zeta_factor_rational,
 )
-from asdist.dirichlet import RationalFunctionT, holomorphic_factor_value
+from asdist.dirichlet import (
+    RationalFunctionT, critical_poles, holomorphic_factor_value,
+)
 from reference_impl import (
     binomial_sum_check,
     empirical_ratio,
@@ -150,13 +150,13 @@ def test_zeta_factor_poles_reject_a_numerator_zero():
         zeta_factor_poles(broken, 3, 1, lambda u: 1)
 
 
-def test_zeta_factor_poles_check_the_pole_order(monkeypatch):
-    # without the binomial 1 - q^3 t^3 the pole at 1/q has order 1, not 2
-    binomials = asdist.tauberian.zeta_factor_binomials
-    monkeypatch.setattr(asdist.tauberian, "zeta_factor_binomials",
-                        lambda p, r: binomials(p, r)[:-1])
-    with pytest.raises(ConsistencyError, match="pole order 1, expected 2"):
-        zeta_factor_poles(Q3, 3, 1, lambda u: 1)
+def test_zeta_factor_poles_sit_where_the_binomials_vanish_most():
+    for model, p, r in POLE_BATTERY:
+        _, _, vanishing = critical_poles(p, r)
+        order = max(map(len, vanishing.values()))
+        top = {j for j, zeros in vanishing.items() if len(zeros) == order}
+        poles = zeta_factor_poles(model, p, r, lambda u: 1)
+        assert top == poles.principal_coeffs.keys(), (model.q, p, r)
 
 
 def test_principal_parts_rejects_poleless_input():
