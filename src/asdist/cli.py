@@ -4,7 +4,9 @@ Every computation in the library is reachable through one subcommand, listed
 in one table.  Every command prints through one emitter, to stdout, in one of
 three formats: human-readable text (default), TSV, or JSON with a fixed schema
 (`command`, `model`, `group`, `data`, `meta`), where `meta.order` holds
-`--order` or `--bound`.  A field beyond F_q(x) is given by its invariants,
+`--order` or `--bound`; `constant` derives its Euler-product cutoff from the
+tail bound and reports it in `meta.degree_cutoff`, beside its working
+precision.  A field beyond F_q(x) is given by its invariants,
 `--genus/--l-poly/--clp-order`.  Exit codes: 0 success, 1 compare mismatch,
 2 invalid input, 3 internal consistency failure.  Invalid input includes a
 `q` that is not a power of `p` (for every command), an `--l-poly` entry
@@ -28,6 +30,7 @@ from .dirichlet import (
     conductor_series,
     counting_function,
     discriminant_view,
+    holomorphic_factor_cutoff,
     pole_analysis,
 )
 from .errors import (
@@ -41,14 +44,11 @@ from .field import make_field_model, rational_field
 from .oracle import DEFAULT_BUDGET, counts_by_degree, oracle_counts
 from .tauberian import DEFAULT_PREC_BITS, closed_form_constant, tauberian_constant
 
-# ceilings on --order (and --bound and the degree of --module), --cutoff,
-# --prec-bits and --r, so that a mistyped value exits 2 at once instead of
-# running for hours; at its ceiling a command on a small field takes seconds
-# (series --q 2 --p 2 --order 2000 about 2 s, the O(r^4) rank check at most
-# 0.13 s)
+# ceilings on --order (and --bound and the degree of --module) and --r, so
+# that a mistyped value exits 2 at once instead of running for hours; at its
+# ceiling a command on a small field takes seconds (series --q 2 --p 2
+# --order 2000 about 2 s, the O(r^4) rank check at most 0.13 s)
 MAX_ORDER = 2000
-MAX_CUTOFF = 200
-MAX_PREC_BITS = 10_000
 MAX_RANK = 64
 
 _FLOAT_DIGITS = 12
@@ -114,7 +114,7 @@ def _emit(args, data, rows, text_lines, model=None, meta=None) -> int:
             "data": data,
             "meta": {
                 "order": getattr(args, "order", getattr(args, "bound", None)),
-                "precision_bits": getattr(args, "prec_bits", None),
+                "precision_bits": None,
                 **(meta or {}),
             },
         }
@@ -174,16 +174,14 @@ def cmd_poles(args) -> int:
 
 
 def cmd_constant(args) -> int:
-    # the printed constants carry 15 significant digits
-    if args.prec_bits < 53:
-        raise ValueError(f"--prec-bits must be >= 53, got {args.prec_bits}")
     model, group = _inputs(args)
+    cutoff = holomorphic_factor_cutoff(model, group.p, group.r)
     closed = None
     try:
-        closed = closed_form_constant(model, group, args.cutoff, args.prec_bits)
+        closed = closed_form_constant(model, group, cutoff)
     except UnsupportedInputError:
         pass
-    generic = tauberian_constant(model, group, args.cutoff, args.prec_bits)
+    generic = tauberian_constant(model, group, cutoff)
     entry = {
         "tauberian": generic.constant,
         "log_order": generic.log_order,
@@ -200,7 +198,7 @@ def cmd_constant(args) -> int:
         line = (f"closed-form {entry['closed_form']}, tauberian {tauberian} "
                 f"(delta {mpmath.nstr(delta, 3)})")
     return _emit(args, [entry], entry.items(), [line], model.describe(),
-                 {"degree_cutoff": args.cutoff})
+                 {"degree_cutoff": cutoff, "precision_bits": DEFAULT_PREC_BITS})
 
 
 def cmd_oracle(args) -> int:
@@ -246,8 +244,7 @@ def cmd_disc(args) -> int:
         lines.append(
             "discriminant counts " + ",".join(str(z) for z in view.z_table)
         )
-    data = {k: v for k, v in asdict(view).items() if k not in ("p", "r")}
-    return _emit(args, [data],
+    return _emit(args, [asdict(view)],
                  enumerate(view.z_table) if view.z_table else
                  [("comparison", view.comparison)],
                  lines, model.describe())
@@ -280,10 +277,7 @@ _COMMANDS = (
      (("--module", {"type": str, "required": True,
                     "help": "e.g. '1^2' or '2.a^3,1.b^2'; '1' is trivial"}),)),
     ("poles", cmd_poles, False, "pole locations of the zeta factor", ()),
-    ("constant", cmd_constant, True, "asymptotic constants",
-     (("--cutoff", {"type": int, "default": 20,
-                    "help": "Euler product degree cutoff"}),
-      ("--prec-bits", {"type": int, "default": DEFAULT_PREC_BITS}))),
+    ("constant", cmd_constant, True, "asymptotic constants", ()),
     ("oracle", cmd_oracle, False, "brute-force census over F_q(x)", _CENSUS),
     ("compare", cmd_compare, False, "series vs brute force (CI entry)", _CENSUS),
     ("disc", cmd_disc, True, "discriminant-count view", _ORDER),
@@ -311,15 +305,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         for flag, ceiling in (("order", MAX_ORDER), ("bound", MAX_ORDER),
-                              ("cutoff", MAX_CUTOFF),
-                              ("prec_bits", MAX_PREC_BITS), ("r", MAX_RANK)):
+                              ("r", MAX_RANK)):
             value = getattr(args, flag, 0)  # 0 where a command lacks the flag
             if value > ceiling:
-                raise ValueError(f"--{flag.replace('_', '-')} must be <= "
-                                 f"{ceiling}, got {value}")
+                raise ValueError(f"--{flag} must be <= {ceiling}, got {value}")
         return args.func(args)
-    except (ModelError, UnsupportedInputError, BudgetExceededError,
-            ValueError) as exc:
+    except (BudgetExceededError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConsistencyError, PrecisionError) as exc:

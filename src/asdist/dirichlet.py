@@ -16,7 +16,7 @@ import mpmath
 from .counting import (
     GroupSpec, exceptional_correction, exceptional_modules, wild_exponent,
 )
-from .errors import ConsistencyError, ModelError, PrecisionError, UnsupportedInputError
+from .errors import ConsistencyError, ModelError, UnsupportedInputError
 from .field import FieldModel
 from .series import TruncatedSeries, euler_product, mul as poly_mul, subst_monomial
 
@@ -229,6 +229,20 @@ def holomorphic_factor_value(
         return total
 
 
+def _tail_bound(model: FieldModel, p: int, r: int) -> tuple:
+    """(scale, ratio): past a degree cutoff n, the primes' share of the
+    holomorphic factor's Euler product has a log of size at most
+    scale * ratio^(n + 1) anywhere on |t| = q^(-a).  The log of a prime's
+    factor is at most 2 per_factor N^(-tau) in size, tau = 2 (r + p - 1) / p
+    >= 2, and there are at most (2 + 2g) q^d primes of degree d, so the
+    ratio q^(1 - tau) of the geometric tail is <= 1/q."""
+    per_factor = (p - 1) ** 2 + 2 ** (p - 1) + p
+    place_bound = 2 + 2 * model.genus
+    tau = mpmath.mpf(2 * (r + p - 1)) / p
+    ratio = mpmath.mpf(model.q) ** (1 - tau)
+    return 2 * per_factor * place_bound / (1 - ratio), ratio
+
+
 def holomorphic_factor_at_abscissa(
     model: FieldModel, p: int, r: int, degree_cutoff: int,
     prec_bits: int = DEFAULT_PREC_BITS,
@@ -241,18 +255,20 @@ def holomorphic_factor_at_abscissa(
         q = mpmath.mpf(model.q)
         point = q ** (-mpmath.mpf(a.numerator) / a.denominator)
         total = holomorphic_factor_value(model, p, r, point, degree_cutoff, prec_bits)
-        # tail: per-prime deviation is O(N^{-tau}) with tau = 2(r+p-1)/p > 1
-        tau = mpmath.mpf(2 * (r + p - 1)) / p
-        if tau <= 1:
-            raise PrecisionError("tail bound does not converge")
-        per_factor = (p - 1) ** 2 + 2 ** (p - 1) + p
-        place_bound = 2 + 2 * model.genus
-        ratio = q ** (1 - tau)
-        tail_log = (
-            2 * per_factor * place_bound * ratio ** (degree_cutoff + 1) / (1 - ratio)
-        )
-        bound = abs(total) * (mpmath.exp(tail_log) - 1)
+        scale, ratio = _tail_bound(model, p, r)
+        bound = abs(total) * mpmath.expm1(scale * ratio ** (degree_cutoff + 1))
         return total, bound
+
+
+def holomorphic_factor_cutoff(model: FieldModel, p: int, r: int) -> int:
+    """The least degree cutoff whose tail bound (as in
+    `holomorphic_factor_at_abscissa`) is below 2^-60 of the product.  The
+    bound depends only on |t|, so it holds at every pole on the circle."""
+    scale, ratio = _tail_bound(model, p, r)
+    cutoff = 1
+    while mpmath.expm1(scale * ratio ** (cutoff + 1)) >= mpmath.mpf(2) ** -60:
+        cutoff += 1
+    return cutoff
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +305,6 @@ def counting_function(model: FieldModel, group: GroupSpec, up_to_degree: int) ->
 class DiscriminantView:
     """Discriminant-count exponents (and exact table for rank 1)."""
 
-    p: int
-    r: int
     lower_exponent: Fraction  # conductor-derived X-exponent lower bound
     upper_exponent: Fraction
     malle_exponent: Fraction
@@ -302,13 +316,7 @@ def exponent_comparison(p: int, r: int) -> tuple:
     """(lower exponent, tame Malle exponent, comparison sign)."""
     a_lower = pole_analysis(p, r).abscissa / (p**r - 1)
     a_malle = Fraction(p, (p**r) * (p - 1))
-    numerator = ((r - 1) * (p - 1) ** 2 - p) * p ** (r - 1) + p
-    if numerator < 0:
-        raise ConsistencyError("exponent comparison numerator must be nonnegative")
-    sign = "equal" if numerator == 0 else "greater"
-    if (a_lower == a_malle) != (sign == "equal"):
-        raise ConsistencyError("exponent comparison disagrees with direct fractions")
-    return a_lower, a_malle, sign
+    return a_lower, a_malle, "equal" if a_lower == a_malle else "greater"
 
 
 def discriminant_view(
@@ -324,4 +332,4 @@ def discriminant_view(
         # discriminant degree is (p-1) times the conductor degree
         cond = counting_function(model, group, up_to_degree // (p - 1))
         z_table = tuple(cond[n // (p - 1)] for n in range(up_to_degree + 1))
-    return DiscriminantView(p, r, a_lower, d_upper, a_malle, sign, z_table)
+    return DiscriminantView(a_lower, d_upper, a_malle, sign, z_table)

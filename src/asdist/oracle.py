@@ -52,7 +52,9 @@ the series: a place of degree d alone gives (q^d - 1) p >= q^d classes of
 conductor degree 2d, so there are at least as many classes as monic
 polynomials of degree <= bound // 2, and a budget below their number
 refuses at once.  That caps the bound near 2 log_q(budget) before a series
-of order bound is built.
+of order bound is built.  Below bound 2 only the constants fit, and F_q is
+not built at all; from bound 2 on the class count keeps q below about
+sqrt(budget).
 
 The normal form is F_p-linear in fixed slots: the constant i*unit gives one
 coordinate i, a term a_j x^j gives the F_p-components of a_j, and a fraction
@@ -81,6 +83,7 @@ from __future__ import annotations
 
 import bisect
 import collections
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -102,19 +105,26 @@ class GF:
         self.one = tuple([1] + [0] * (k - 1))
         self.modulus = self._find_modulus()
         self._mul_table: dict = {}
-        image = frozenset(self.sub(self.pow(a, p), a) for a in self.elements())
+
+    @functools.cached_property
+    def coset_reps(self):
         # coset representatives of F_q / image are the F_p-multiples of one
         # fixed non-image element, so scaling keeps representatives canonical
+        image = frozenset(self.sub(self.pow(a, self.p), a) for a in self.elements())
         unit = next(a for a in self.elements() if a not in image)
-        self.coset_reps = tuple(self.scalar_mul(i, unit) for i in range(p))
+        return tuple(self.scalar_mul(i, unit) for i in range(self.p))
 
     # -- modulus: the first monic irreducible of degree k over F_p ---------
     def _find_modulus(self):
         if self.k == 1:
             return (0, 1)
+        # a reducible candidate has a factor of degree <= k / 2; the first
+        # one tried, x, rules out the candidates with constant term zero
         prime_field = GF(self.p)
+        factors = irreducibles_up_to(prime_field, self.k // 2)
         poly = next(
-            f for f in irreducibles_up_to(prime_field, self.k) if len(f) == self.k + 1
+            f for f in monic_polys(prime_field, self.k)
+            if all(poly_mod(f, g, prime_field) for g in factors)
         )
         return tuple(c[0] for c in poly)
 
@@ -480,8 +490,8 @@ def oracle_counts(
     if bound < 0:
         raise ModelError(f"conductor degree bound must be >= 0, got {bound}")
     _check_budget(model, bound, budget)
-    gf = GF(p, prime_power_exponent(q, p))
-    places = census_places(gf, bound)
+    # below conductor degree 2 no place carries a block, and F_q is not built
+    places = census_places(GF(p, prime_power_exponent(q, p)), bound) if bound >= 2 else []
     partials = iter_partial_classes(places, bound)
     if r > 1:
         return _subspace_census(partials, places, r, bound, budget)

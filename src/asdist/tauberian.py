@@ -26,6 +26,7 @@ from .dirichlet import (
     RationalFunctionT,
     critical_poles,
     holomorphic_factor_at_abscissa,
+    holomorphic_factor_cutoff,
     holomorphic_factor_value,
     pole_analysis,
     zeta_factor_binomials,
@@ -268,11 +269,12 @@ def predict_partial_sums(model: MeromorphicModel, m: int) -> AsymptoticEstimate:
 def closed_form_constant(
     model: FieldModel,
     group: GroupSpec,
-    degree_cutoff: int = 20,
+    degree_cutoff: int | None = None,
     prec_bits: int = DEFAULT_PREC_BITS,
 ) -> AsymptoticEstimate:
     """Closed-form asymptotic constant of the conductor counting function,
-    available for p = 2 (any rank) and for rank 1 (any p)."""
+    available for p = 2 (any rank) and for rank 1 (any p).  The Euler
+    product stops at `degree_cutoff`, by default `holomorphic_factor_cutoff`."""
     if group.p != model.p:
         raise ModelError("group exponent must equal the field characteristic")
     p, r = group.p, group.r
@@ -294,6 +296,8 @@ def closed_form_constant(
             constant = mpmath.mpf(constant_exact.numerator) / constant_exact.denominator
         else:
             constant_exact = None
+            if degree_cutoff is None:
+                degree_cutoff = holomorphic_factor_cutoff(model, p, r)
             product, _ = holomorphic_factor_at_abscissa(
                 model, p, r, degree_cutoff, prec_bits
             )
@@ -326,16 +330,18 @@ def closed_form_constant(
 def tauberian_constant(
     model: FieldModel,
     group: GroupSpec,
-    degree_cutoff: int = 40,
+    degree_cutoff: int | None = None,
     prec_bits: int = DEFAULT_PREC_BITS,
 ) -> AsymptoticEstimate:
     """Asymptotic constant via principal-part extraction from the exact
-    meromorphic factor, corrected by the holomorphic factor.  The exponent
-    and log scale are reported as in `closed_form_constant`."""
+    meromorphic factor, corrected by the holomorphic factor.  The exponent,
+    log scale and cutoff default are as in `closed_form_constant`."""
     if group.p != model.p:
         raise ModelError("group exponent must equal the field characteristic")
     p, r = group.p, group.r
     e_top = group.e_coeffs[r]
+    if degree_cutoff is None:
+        degree_cutoff = holomorphic_factor_cutoff(model, p, r)
 
     def correction(u):
         # runs inside zeta_factor_poles at prec_bits, so e_top is not

@@ -57,16 +57,16 @@ PINNED = {
          '"model":null}\n'),
         'n\tvalue\nabscissa\t1\nlog_order\t2\nprogression\t6\n',
     ),
-    "constant --q 3 --p 3 --cutoff 10": (
-        'closed-form 0.199338725861456, tauberian 0.19933873 (delta 3.9e-60)\n',
-        ('{"command":"constant","data":[{"closed_form":"0.199338725861",'
-         '"delta":"3.90228695589e-60","exponent":1,"log_order":2,'
-         '"tauberian":"0.199338725861"}],"group":{"p":3,"r":1},'
-         '"meta":{"degree_cutoff":10,"order":null,"precision_bits":200},'
+    "constant --q 3 --p 3": (
+        'closed-form 0.199338283520328, tauberian 0.19933828 (delta 4.68e-60)\n',
+        ('{"command":"constant","data":[{"closed_form":"0.19933828352",'
+         '"delta":"4.6827547383e-60","exponent":1,"log_order":2,'
+         '"tauberian":"0.19933828352"}],"group":{"p":3,"r":1},'
+         '"meta":{"degree_cutoff":41,"order":null,"precision_bits":200},'
          '"model":{"class_number":1,"clp_order":1,"genus":0,'
          '"l_poly":[1],"p":3,"q":3}}\n'),
-        ('n\tvalue\ntauberian\t0.199338725861\nlog_order\t2\nexponent\t1\n'
-         'closed_form\t0.199338725861\ndelta\t3.90228695589e-60\n'),
+        ('n\tvalue\ntauberian\t0.19933828352\nlog_order\t2\nexponent\t1\n'
+         'closed_form\t0.19933828352\ndelta\t4.6827547383e-60\n'),
     ),
     "oracle --q 2 --p 2 --bound 4": (
         'oracle counts 1,0,6,0,24\n',
@@ -184,11 +184,14 @@ def test_poles_command(capsys):
 
 
 def test_constant_command(capsys):
-    code, out, _ = run(capsys, "constant", "--q", "2", "--p", "2",
-                       "--cutoff", "25")
+    # every printed digit holds: a cutoff of 20 prints tauberian 2.0000001
+    # here and closed-form 0.199338283524323 at q = 3
+    code, out, _ = run(capsys, "constant", "--q", "2", "--p", "2")
     assert code == 0
-    assert out.startswith("closed-form 2, tauberian 2.0")
-    assert "delta" in out
+    assert out.startswith("closed-form 2, tauberian 2.0 (delta ")
+    code, out, _ = run(capsys, "constant", "--q", "3", "--p", "3")
+    assert code == 0
+    assert out.startswith("closed-form 0.199338283520328, tauberian 0.19933828 ")
 
 
 def test_constant_pole_finder_failure_exits_3(capsys, monkeypatch):
@@ -250,19 +253,13 @@ def test_impossible_models_and_modules_exit_2(capsys):
         ["oracle", "--q", "2", "--p", "2", "--bound", "-1"],
         ["poles", "--q", "4", "--p", "4"],
         ["poles", "--q", "3", "--p", "3", "--r", "0"],
-        ["constant", "--q", "2", "--p", "2", "--cutoff", "0"],
-        ["constant", "--q", "3", "--p", "3", "--r", "2", "--cutoff", "-3"],
         ["oracle", "--q", "2", "--p", "2", "--r", "0", "--bound", "3"],
         ["oracle", "--q", "2", "--p", "2", "--r", "-1", "--bound", "3"],
         ["oracle", "--q", "2", "--p", "1", "--bound", "2"],
         ["oracle", "--q", "2", "--p", "0", "--bound", "2"],
-        ["constant", "--q", "2", "--p", "2", "--prec-bits", "0"],
-        ["constant", "--q", "2", "--p", "2", "--prec-bits", "30"],
         ["series", "--q", "2", "--p", "2", "--order", "100000000"],
         ["count", "--q", "2", "--p", "2", "--order", "100000000"],
         ["disc", "--q", "2", "--p", "2", "--order", "100000000"],
-        ["constant", "--q", "3", "--p", "3", "--cutoff", "100000000"],
-        ["constant", "--q", "3", "--p", "3", "--prec-bits", "100000000"],
         ["poles", "--q", "5", "--p", "3"],
         ["poles", "--q", "0", "--p", "2"],
         ["oracle", "--q", "6", "--p", "2", "--bound", "2"],
@@ -326,6 +323,17 @@ def test_poles_text_and_tsv_at_p17_run_at_once():
                             timeout=5)
         assert proc.returncode == 0, proc.stderr
         assert "12252240" in proc.stdout
+
+
+def test_census_below_bound_2_builds_no_constant_field():
+    # only the constants fit below conductor degree 2; F_q was once built in
+    # full anyway, 36-60 s at these q and longer at 3^20
+    for q, p, bound in [(59049, 3, 1), (59049, 3, 0), (65536, 2, 1),
+                        (262144, 2, 0), (3486784401, 3, 1)]:
+        proc = _cli_process("oracle", "--q", str(q), "--p", str(p),
+                            "--bound", str(bound), timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "oracle counts " + "1,0"[:2 * bound + 1] + "\n"
 
 
 def test_invalid_input_exit_code(capsys):

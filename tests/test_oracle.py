@@ -134,6 +134,7 @@ def test_irreducible_counts_match_place_counts(q, p, k):
 @pytest.mark.parametrize("p,k,modulus", [
     (2, 2, (1, 1, 1)), (2, 3, (1, 0, 1, 1)), (2, 4, (1, 0, 0, 1, 1)),
     (3, 2, (1, 0, 1)), (3, 3, (1, 0, 2, 1)), (5, 2, (1, 1, 1)), (7, 2, (1, 0, 1)),
+    (3, 7, (1, 0, 0, 0, 0, 1, 2, 1)), (2, 11, (1,) + (0,) * 8 + (1, 0, 1)),
 ])
 def test_modulus_is_the_first_monic_irreducible(p, k, modulus):
     # the modulus fixes how field elements, and so place labels, are written

@@ -23,7 +23,11 @@ from asdist import (
     zeta_factor_rational,
 )
 from asdist.dirichlet import (
-    RationalFunctionT, critical_poles, holomorphic_factor_value,
+    RationalFunctionT,
+    critical_poles,
+    holomorphic_factor_at_abscissa,
+    holomorphic_factor_cutoff,
+    holomorphic_factor_value,
 )
 from reference_impl import (
     binomial_sum_check,
@@ -340,9 +344,36 @@ def test_tauberian_constant_keeps_its_working_precision():
             assert abs(generic.constant / exact_mpf - 1) < 1e-30, (q, r)
 
 
+@pytest.mark.parametrize("model,p,r,cutoff", [
+    (rational_field(2), 2, 1, 65), (rational_field(2), 2, 2, 32),
+    (rational_field(2), 2, 3, 21), (rational_field(3), 3, 1, 41),
+    (rational_field(3), 3, 2, 24), (rational_field(5), 5, 1, 29),
+    (rational_field(4), 2, 2, 16), (rational_field(17), 17, 1, 19),
+    (make_field_model(3, 3, 1, [1, 1, 3], clp_order=1), 3, 1, 42),
+    (make_field_model(2, 2, 1, [1, 0, 2], clp_order=1), 2, 1, 66),
+])
+def test_derived_cutoff_leaves_less_than_2_to_the_minus_60(model, p, r, cutoff):
+    # the least cutoff whose tail bound is below 2^-60 of the product; the
+    # bound holds on the whole circle, so both constants are that close to
+    # their value at cutoff 200
+    assert holomorphic_factor_cutoff(model, p, r) == cutoff
+    for n, below in ((cutoff - 1, False), (cutoff, True)):
+        value, bound = holomorphic_factor_at_abscissa(model, p, r, n)
+        assert (bound < mpmath.mpf(2) ** -60 * value) == below, n
+    group = subgroup_count_poly(p, r)
+    for constant in (closed_form_constant, tauberian_constant):
+        if constant is closed_form_constant and p != 2 and r != 1:
+            continue
+        derived = constant(model, group).constant
+        reference = constant(model, group, degree_cutoff=200).constant
+        with mpmath.workprec(200):
+            assert abs(derived / reference - 1) < mpmath.mpf(2) ** -60, constant
+
+
 def test_closed_form_constant_holds_at_low_precision():
     # factor**b_d with b_d up to ~2^27 (q=3) or ~2^42 (q=5) at cutoff 20
-    # once turned 30 bits into a wrong second digit
+    # once turned 30 bits into a wrong second digit; the default cutoffs,
+    # 41 and 29, take b_d to ~2^60 and ~2^62
     for q in (3, 5):
         field, group = rational_field(q), subgroup_count_poly(q, 1)
         reference = closed_form_constant(field, group).constant
