@@ -27,6 +27,7 @@ import mpmath
 
 from .counting import DivisorModule, Place, conductor_count, subgroup_count_poly
 from .dirichlet import (
+    PREC_BITS,
     conductor_series,
     counting_function,
     discriminant_view,
@@ -42,7 +43,7 @@ from .errors import (
 )
 from .field import make_field_model, rational_field
 from .oracle import DEFAULT_BUDGET, counts_by_degree, oracle_counts
-from .tauberian import DEFAULT_PREC_BITS, closed_form_constant, tauberian_constant
+from .tauberian import closed_form_constant, tauberian_constant
 
 # ceilings on --order (and --bound and the degree of --module) and --r, so
 # that a mistyped value exits 2 at once instead of running for hours; at its
@@ -198,7 +199,7 @@ def cmd_constant(args) -> int:
         line = (f"closed-form {entry['closed_form']}, tauberian {tauberian} "
                 f"(delta {mpmath.nstr(delta, 3)})")
     return _emit(args, [entry], entry.items(), [line], model.describe(),
-                 {"degree_cutoff": cutoff, "precision_bits": DEFAULT_PREC_BITS})
+                 {"degree_cutoff": cutoff, "precision_bits": PREC_BITS})
 
 
 def cmd_oracle(args) -> int:

@@ -20,7 +20,7 @@ from .errors import ConsistencyError, ModelError, UnsupportedInputError
 from .field import FieldModel
 from .series import TruncatedSeries, euler_product, mul as poly_mul, subst_monomial
 
-DEFAULT_PREC_BITS = 200
+PREC_BITS = 200  # the working precision of every numeric evaluation
 
 
 def prime_term(q: int, d: int, u: int, v: int) -> tuple:
@@ -201,18 +201,15 @@ def _holomorphic_factor_terms(q: int, d: int, p: int, r: int):
     return [prime_term(q, d, l * r, l + 1) for l in range(p - 1)]
 
 
-def holomorphic_factor_value(
-    model: FieldModel, p: int, r: int, point, degree_cutoff: int,
-    prec_bits: int = DEFAULT_PREC_BITS,
-):
+def holomorphic_factor_value(model: FieldModel, p: int, r: int, point, degree_cutoff: int):
     """Numeric value of the holomorphic factor at a point inside its region
     of convergence, via the Euler product over primes of degree <= cutoff."""
     if degree_cutoff < 1:
         raise ValueError("degree cutoff must be >= 1")
     counts = model.place_counts(degree_cutoff)
     # factor**b_d multiplies the rounding error of factor by b_d, so carry
-    # the bits of the largest b_d on top of prec_bits
-    with mpmath.workprec(prec_bits + max(counts).bit_length()):
+    # the bits of the largest b_d on top of PREC_BITS
+    with mpmath.workprec(PREC_BITS + max(counts).bit_length()):
         z = mpmath.mpmathify(point)
         total = mpmath.mpf(1)
         for d in range(1, degree_cutoff + 1):
@@ -220,11 +217,12 @@ def holomorphic_factor_value(
             if b_d == 0:
                 continue
             terms = _holomorphic_factor_terms(model.q, d, p, r)
+            monomials = [coeff * z**power for power, coeff in terms]
             factor = mpmath.mpf(1)
-            for power, coeff in terms:
-                factor += coeff * z**power
-            for power, coeff in terms:
-                factor *= 1 - coeff * z**power
+            for m in monomials:
+                factor += m
+            for m in monomials:
+                factor *= 1 - m
             total *= factor**b_d
         return total
 
@@ -243,18 +241,15 @@ def _tail_bound(model: FieldModel, p: int, r: int) -> tuple:
     return 2 * per_factor * place_bound / (1 - ratio), ratio
 
 
-def holomorphic_factor_at_abscissa(
-    model: FieldModel, p: int, r: int, degree_cutoff: int,
-    prec_bits: int = DEFAULT_PREC_BITS,
-):
+def holomorphic_factor_at_abscissa(model: FieldModel, p: int, r: int, degree_cutoff: int):
     """Value of the holomorphic factor at the convergence abscissa, i.e.
     `holomorphic_factor_value` at t = q^(-a), with a rigorous tail bound;
     returns (value, bound)."""
     a = pole_analysis(p, r).abscissa
-    with mpmath.workprec(prec_bits):
+    with mpmath.workprec(PREC_BITS):
         q = mpmath.mpf(model.q)
         point = q ** (-mpmath.mpf(a.numerator) / a.denominator)
-        total = holomorphic_factor_value(model, p, r, point, degree_cutoff, prec_bits)
+        total = holomorphic_factor_value(model, p, r, point, degree_cutoff)
         scale, ratio = _tail_bound(model, p, r)
         bound = abs(total) * mpmath.expm1(scale * ratio ** (degree_cutoff + 1))
         return total, bound

@@ -22,7 +22,7 @@ import sympy
 
 from .counting import GroupSpec
 from .dirichlet import (
-    DEFAULT_PREC_BITS,
+    PREC_BITS,
     RationalFunctionT,
     critical_poles,
     holomorphic_factor_at_abscissa,
@@ -50,19 +50,20 @@ class MeromorphicModel:
     root_count: int  # poles sit among R * xi^{-j}, xi a primitive root of unity
     principal_coeffs: dict  # j -> mpc, only the j of the poles of maximal order
     principal_exact: dict | None  # same keys, Fractions, when all are rational roots
-    prec_bits: int
 
 
 @dataclass(frozen=True)
 class AsymptoticEstimate:
-    """Leading-term model c * X^a * log(X)^{b-1} for counts at X = growth^n."""
+    """Leading-term model c * X^a * log(X)^{b-1} for the counts at
+    X = exp(n * log_scale): the value at n is
+    c * growth^n * (n * log_scale)^{b-1}, as X^a = growth^n."""
 
     exponent: Fraction | None
     log_order: int
     constant: object  # mpf
     constant_exact: Fraction | None
     progression: tuple  # (modulus l, residue e)
-    growth: object  # per-step factor: X = growth^n
+    growth: object  # per-step factor of the count: X^a = growth^n
     log_scale: object  # log X = n * log_scale
 
 
@@ -97,24 +98,20 @@ def _poles(den):
     return poles
 
 
-def principal_parts(
-    f: RationalFunctionT,
-    correction=None,
-    prec_bits: int = DEFAULT_PREC_BITS,
-) -> MeromorphicModel:
+def principal_parts(f: RationalFunctionT, correction=None) -> MeromorphicModel:
     """Locate the minimal-modulus poles of f and compute the order-b
     principal Laurent coefficients of the maximal order b found there.
 
     `correction` is an optional holomorphic factor evaluated at each pole
     (used when f is known only as rational-part times point-evaluable part).
     """
-    with mpmath.workprec(prec_bits):
+    with mpmath.workprec(PREC_BITS):
         num, den = _cancel(f)
         if den.degree() == 0:
             raise ValueError("input has no pole")
         poles = _poles(den)
         radius = min(abs(z) for _, z, _ in poles)
-        tol = radius * mpmath.mpf(2) ** (-prec_bits // 3)
+        tol = radius * mpmath.mpf(2) ** (-PREC_BITS // 3)
         on_circle = [item for item in poles if abs(abs(item[1]) - radius) < tol]
         if any(
             tol <= abs(abs(z) - radius) < radius * mpmath.mpf("1e-6")
@@ -126,12 +123,12 @@ def principal_parts(
         order = max(mult for _, _, mult in on_circle)
         # distinct fractions of denominator <= 2^(prec/8) lie >= 2^(-prec/4)
         # apart, far wider than angle_tol, so the reading is unambiguous
-        angle_tol = mpmath.mpf(2) ** (-prec_bits // 3)
+        angle_tol = mpmath.mpf(2) ** (-PREC_BITS // 3)
         by_angle = {}
         for pole in on_circle:
             angle = mpmath.arg(pole[1]) / (2 * mpmath.pi)
-            near = Fraction(int(mpmath.nint(angle * 2**prec_bits)), 2**prec_bits)
-            near = near.limit_denominator(2 ** (prec_bits // 8))
+            near = Fraction(int(mpmath.nint(angle * 2**PREC_BITS)), 2**PREC_BITS)
+            near = near.limit_denominator(2 ** (PREC_BITS // 8))
             if abs(angle - mpmath.mpf(near.numerator) / near.denominator) >= angle_tol:
                 raise PrecisionError(
                     "pole angles are not commensurable at this precision"
@@ -167,13 +164,11 @@ def principal_parts(
                 d_val = sum(Fraction(c) * exact**i for i, c in enumerate(den_deriv))
                 exact_coeffs[j] = math.factorial(order) * n_val / d_val
         return MeromorphicModel(
-            radius, radius_exact, order, root_count, coeffs, exact_coeffs, prec_bits
+            radius, radius_exact, order, root_count, coeffs, exact_coeffs
         )
 
 
-def zeta_factor_poles(
-    model: FieldModel, p: int, r: int, correction, prec_bits: int = DEFAULT_PREC_BITS
-) -> MeromorphicModel:
+def zeta_factor_poles(model: FieldModel, p: int, r: int, correction) -> MeromorphicModel:
     """`principal_parts(zeta_factor_rational(model, p, r), correction)`,
     read off the binomials 1 - q^e t^l of the denominator: no factorisation
     and no root finding.  It visits only the j where some binomial
@@ -191,7 +186,7 @@ def zeta_factor_poles(
     a, ell, vanishing = critical_poles(p, r)
     q, binomials = model.q, zeta_factor_binomials(p, r)
     order = max(map(len, vanishing.values()))
-    with mpmath.workprec(prec_bits):
+    with mpmath.workprec(PREC_BITS):
         radius = mpmath.mpf(q) ** (-mpmath.mpf(a.numerator) / a.denominator)
         root = int(mpmath.nint(1 / radius))
         exact = root**a.denominator == q**a.numerator
@@ -205,7 +200,7 @@ def zeta_factor_poles(
             numer = mpmath.mpf(1)
             for l in range(2, p + 1):
                 numer *= mpmath.polyval(l_coeffs, q ** ((l - 1) * r) * z**l)
-            if abs(numer) < mpmath.mpf(2) ** (-prec_bits // 2):
+            if abs(numer) < mpmath.mpf(2) ** (-PREC_BITS // 2):
                 raise PrecisionError(
                     f"the zeta factor's numerator vanishes at the pole {z}"
                 )
@@ -213,14 +208,14 @@ def zeta_factor_poles(
             for l, e in binomials:
                 denom *= l if (l, e) in zeros else 1 - q**e * z**l
             coeffs[j] = (-z) ** order * numer / denom * correction(z)
-        return MeromorphicModel(
-            radius, radius_exact, order, ell, coeffs, None, prec_bits
-        )
+        return MeromorphicModel(radius, radius_exact, order, ell, coeffs, None)
 
 
-def _imag_guard(value, prec_bits):
-    tol = max(mpmath.mpf(2) ** (-prec_bits // 2) * (abs(value) + 1), mpmath.mpf("1e-30"))
-    if abs(mpmath.im(value)) > tol:
+def _imag_guard(value, magnitude):
+    """Re(value), after checking that Im(value) is rounding noise: below
+    2^(-PREC_BITS/2) of `magnitude`, the sum of the moduli of the terms
+    that `value` sums."""
+    if abs(mpmath.im(value)) > mpmath.mpf(2) ** (-PREC_BITS // 2) * magnitude:
         raise PrecisionError(
             f"prediction has nonvanishing imaginary part {mpmath.im(value)}"
         )
@@ -232,16 +227,17 @@ def predict_partial_sums(model: MeromorphicModel, m: int) -> AsymptoticEstimate:
     progression class of m."""
     if m < 1:
         raise ValueError("prediction needs m >= 1")
-    with mpmath.workprec(model.prec_bits):
+    with mpmath.workprec(PREC_BITS):
         b = model.pole_order
         ell = model.root_count
         xi = mpmath.exp(2j * mpmath.pi / ell)
-        s = mpmath.mpc(0)
+        s, magnitude = mpmath.mpc(0), mpmath.mpf(0)
         for j, p_j in model.principal_coeffs.items():
             u = model.radius * xi ** (-j)
-            s += (-u) ** (-b) * p_j * xi ** (j * m) / (1 - u)
-        s /= mpmath.factorial(b - 1)
-        s = _imag_guard(s, model.prec_bits)
+            term = (-u) ** (-b) * p_j * xi ** (j * m) / (1 - u)
+            s += term
+            magnitude += abs(term)
+        s = _imag_guard(s, magnitude) / mpmath.factorial(b - 1)
         log_scale = mpmath.log(1 / model.radius)
         if b >= 2 and not log_scale:
             raise UnsupportedInputError(f"poles of order {b} on the unit circle")
@@ -270,7 +266,6 @@ def closed_form_constant(
     model: FieldModel,
     group: GroupSpec,
     degree_cutoff: int | None = None,
-    prec_bits: int = DEFAULT_PREC_BITS,
 ) -> AsymptoticEstimate:
     """Closed-form asymptotic constant of the conductor counting function,
     available for p = 2 (any rank) and for rank 1 (any p).  The Euler
@@ -287,7 +282,7 @@ def closed_form_constant(
     a = report.abscissa
     residue_factor = model.zeta_residue_factor()  # log(q) * zeta(1), exact
     e_top = group.e_coeffs[r]
-    with mpmath.workprec(prec_bits):
+    with mpmath.workprec(PREC_BITS):
         logq = mpmath.log(model.q)
         if p == 2:
             constant_exact = e_top * residue_factor / (
@@ -298,9 +293,7 @@ def closed_form_constant(
             constant_exact = None
             if degree_cutoff is None:
                 degree_cutoff = holomorphic_factor_cutoff(model, p, r)
-            product, _ = holomorphic_factor_at_abscissa(
-                model, p, r, degree_cutoff, prec_bits
-            )
+            product, _ = holomorphic_factor_at_abscissa(model, p, r, degree_cutoff)
             rational_part = (
                 e_top
                 * residue_factor ** (p - 1)
@@ -331,7 +324,6 @@ def tauberian_constant(
     model: FieldModel,
     group: GroupSpec,
     degree_cutoff: int | None = None,
-    prec_bits: int = DEFAULT_PREC_BITS,
 ) -> AsymptoticEstimate:
     """Asymptotic constant via principal-part extraction from the exact
     meromorphic factor, corrected by the holomorphic factor.  The exponent,
@@ -344,16 +336,16 @@ def tauberian_constant(
         degree_cutoff = holomorphic_factor_cutoff(model, p, r)
 
     def correction(u):
-        # runs inside zeta_factor_poles at prec_bits, so e_top is not
+        # runs inside zeta_factor_poles at PREC_BITS, so e_top is not
         # rounded to the default 53 bits
-        value = holomorphic_factor_value(model, p, r, u, degree_cutoff, prec_bits)
+        value = holomorphic_factor_value(model, p, r, u, degree_cutoff)
         return value * e_top.numerator / e_top.denominator
 
-    pole_model = zeta_factor_poles(model, p, r, correction, prec_bits)
+    pole_model = zeta_factor_poles(model, p, r, correction)
     estimate = predict_partial_sums(pole_model, pole_model.root_count)
     # a pole of order > 1 occurs only for r = 1, where R = 1/q, so the
     # constant (divided by log(1/R)^(b-1)) agrees with log_scale = log q
-    with mpmath.workprec(prec_bits):
+    with mpmath.workprec(PREC_BITS):
         return replace(
             estimate,
             exponent=pole_analysis(p, r).abscissa,

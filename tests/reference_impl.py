@@ -109,7 +109,7 @@ from asdist.oracle import (
 from asdist.series import Scalar, TruncatedSeries, euler_product, subst_monomial
 from asdist.series import mul as series_mul
 from asdist.tauberian import (
-    DEFAULT_PREC_BITS,
+    PREC_BITS,
     AsymptoticEstimate,
     MeromorphicModel,
     _imag_guard,
@@ -481,22 +481,23 @@ def predict_coefficients(model: MeromorphicModel, n: int):
     """Leading-term prediction of the n-th series coefficient."""
     if n < 1:
         raise ValueError("prediction needs n >= 1")
-    with mpmath.workprec(model.prec_bits):
+    with mpmath.workprec(PREC_BITS):
         b = model.pole_order
         xi = mpmath.exp(2j * mpmath.pi / model.root_count)
-        s = mpmath.mpc(0)
+        s, magnitude = mpmath.mpc(0), mpmath.mpf(0)
         for j, p_j in model.principal_coeffs.items():
             u = model.radius * xi ** (-j)
-            s += (-u) ** (-b) * p_j * xi ** (j * n)
-        s /= mpmath.factorial(b - 1)
-        s = _imag_guard(s, model.prec_bits)
+            term = (-u) ** (-b) * p_j * xi ** (j * n)
+            s += term
+            magnitude += abs(term)
+        s = _imag_guard(s, magnitude) / mpmath.factorial(b - 1)
         return s * model.radius ** (-n) * mpmath.mpf(n) ** (b - 1)
 
 
-def binomial_sum_check(l: int, t_on_circle, m: int, prec_bits: int = DEFAULT_PREC_BITS):
+def binomial_sum_check(l: int, t_on_circle, m: int):
     """Deviation ratio of the binomial partial-sum approximation at a point
     on the circle |t| = R < 1: should trend to 0 as m grows."""
-    with mpmath.workprec(prec_bits):
+    with mpmath.workprec(PREC_BITS):
         t = mpmath.mpmathify(t_on_circle)
         radius = abs(t)
         if not radius < 1:

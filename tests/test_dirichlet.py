@@ -1,6 +1,7 @@
 """Dirichlet-series assembly, zeta factorization, poles, derived views."""
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import mpmath
@@ -233,8 +234,10 @@ def test_holomorphic_factor_cutoff_self_consistency():
 
 
 def test_holomorphic_factor_value_matches_series():
-    point = mpmath.mpf("0.05")
-    for (p, r, model) in [(2, 1, Q2), (3, 1, Q3), (3, 2, Q3)]:
+    # the second point is complex, as at the Tauberian poles for r >= 2
+    # and for p = 2
+    points = [mpmath.mpf("0.05"), mpmath.mpf("0.05") * mpmath.expjpi(mpmath.mpf(2) / 3)]
+    for (p, r, model), point in product([(2, 1, Q2), (3, 1, Q3), (3, 2, Q3)], points):
         series = holomorphic_factor_series(model, p, r, 30)
         coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in series.coeffs]
         via_series = mpmath.polyval(coeffs[::-1], point)

@@ -6,6 +6,8 @@ import mpmath
 import pytest
 import sympy
 
+import asdist.dirichlet
+import asdist.tauberian
 from asdist import (
     FieldModel,
     ModelError,
@@ -29,6 +31,7 @@ from asdist.dirichlet import (
     holomorphic_factor_cutoff,
     holomorphic_factor_value,
 )
+from asdist.tauberian import MeromorphicModel
 from reference_impl import (
     binomial_sum_check,
     empirical_ratio,
@@ -197,6 +200,22 @@ def test_predict_partial_sums_geometric():
     assert est.progression == (1, 0)
     # partial sums are 2^{m+1} - 1; the model predicts 2 * 2^m
     assert abs(estimate_value(est, 20) - 2**21) < 1e-20
+
+
+def test_imag_guard_is_relative_to_the_terms():
+    # a constant of 1e-40 is far below any absolute floor, so a 10 %
+    # imaginary part must still be caught relative to the terms summed
+    def one_pole(coeff):
+        return MeromorphicModel(mpmath.mpf(0.5), Fraction(1, 2), 1, 1,
+                                {1: coeff}, None)
+    real = one_pole(mpmath.mpc(1e-40))
+    assert predict_partial_sums(real, 1).constant == -4 * 1e-40
+    assert predict_coefficients(real, 3) == -16 * 1e-40
+    skewed = one_pole(mpmath.mpc(1e-40, 1e-41))
+    with pytest.raises(PrecisionError, match="imaginary part"):
+        predict_partial_sums(skewed, 1)
+    with pytest.raises(PrecisionError, match="imaginary part"):
+        predict_coefficients(skewed, 3)
 
 
 def test_predict_partial_sums_conductor_closed_form():
@@ -370,7 +389,7 @@ def test_derived_cutoff_leaves_less_than_2_to_the_minus_60(model, p, r, cutoff):
             assert abs(derived / reference - 1) < mpmath.mpf(2) ** -60, constant
 
 
-def test_closed_form_constant_holds_at_low_precision():
+def test_closed_form_constant_holds_at_low_precision(monkeypatch):
     # factor**b_d with b_d up to ~2^27 (q=3) or ~2^42 (q=5) at cutoff 20
     # once turned 30 bits into a wrong second digit; the default cutoffs,
     # 41 and 29, take b_d to ~2^60 and ~2^62
@@ -378,7 +397,10 @@ def test_closed_form_constant_holds_at_low_precision():
         field, group = rational_field(q), subgroup_count_poly(q, 1)
         reference = closed_form_constant(field, group).constant
         for prec_bits in (30, 53):
-            low = closed_form_constant(field, group, prec_bits=prec_bits)
+            with monkeypatch.context() as patch:
+                for module in (asdist.dirichlet, asdist.tauberian):
+                    patch.setattr(module, "PREC_BITS", prec_bits)
+                low = closed_form_constant(field, group)
             assert abs(low.constant / reference - 1) < 1e-7, (q, prec_bits)
 
 
