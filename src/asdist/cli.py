@@ -47,8 +47,9 @@ from .tauberian import closed_form_constant, tauberian_constant
 
 # ceilings on --order (and --bound and the degree of --module) and --r, so
 # that a mistyped value exits 2 at once instead of running for hours; at its
-# ceiling a command on a small field takes seconds (series --q 2 --p 2
-# --order 2000 about 2 s, the O(r^4) rank check at most 0.13 s)
+# ceiling a command on a small field takes seconds to a minute (on a 2-vCPU
+# VM, series --order 2000 1-1.5 s at --q 2 --p 2, 5-9 s at --q 5 --p 5 and
+# 48-67 s at --q 5 --p 5 --r 3, the O(r^4) rank check at most 0.13 s)
 MAX_ORDER = 2000
 MAX_RANK = 64
 

@@ -13,9 +13,7 @@ from math import gcd, lcm
 
 import mpmath
 
-from .counting import (
-    GroupSpec, exceptional_correction, exceptional_modules, wild_exponent,
-)
+from .counting import GroupSpec, exceptional_correction, exceptional_modules
 from .errors import ConsistencyError, ModelError, UnsupportedInputError
 from .field import FieldModel
 from .series import TruncatedSeries, euler_product, mul as poly_mul, subst_monomial
@@ -73,16 +71,16 @@ class RationalFunctionT:
 # ---------------------------------------------------------------------------
 # Euler products
 
-def _euler_factor_component(q: int, d: int, i: int, p: int, order: int) -> list:
-    """Coefficients of the per-prime factor
-    1 + (N^i - 1) sum_{p not | n} N^{i r_n - (n+1) s}."""
-    coeffs = [1] + [0] * order
+def _euler_factor_component(q: int, d: int, i: int, p: int) -> tuple:
+    """(A, B): the paper's local factor 1 + (N^i - 1) sum_{p not | n}
+    N^{i r_n - (n+1) s} of the i-th component as A/B.  With u = N^{-s}, r_n
+    grows by p - 1 every p steps, so B = 1 - N^{i(p-1)} u^p and
+    A = 1 + (N^i - 1) sum_{s=0}^{p-3} N^{is} u^{s+2} - N^{i(p-2)} u^p."""
     n_i = q ** (d * i)
-    for n in range(1, order // d):  # the terms with d (n + 1) <= order
-        if n % p != 0:
-            power, coeff = prime_term(q, d, i * wild_exponent(n, p), n + 1)
-            coeffs[power] += (n_i - 1) * coeff
-    return coeffs
+    a = [(w, (n_i - 1 if s < p - 2 else -1) * c)
+         for s in range(p - 1) for w, c in [prime_term(q, d, i * s, s + 2)]]
+    w, c = prime_term(q, d, i * (p - 1), p)
+    return _one_plus(a), _one_plus([(w, -c)])
 
 
 def euler_component_series(
@@ -92,11 +90,12 @@ def euler_component_series(
     if not 1 <= i <= group.r:
         raise ModelError(f"component index {i} out of range 1..{group.r}")
     counts = model.place_counts(order) if order >= 1 else []
-    # a generator, so euler_product holds one dense factor at a time
+    # A^b_d and B^-b_d for each degree with 2d <= order; a generator, so
+    # euler_product holds one prime's A and B at a time
     factors = (
-        (_euler_factor_component(model.q, d, i, model.p, order), b_d)
-        for d, b_d in enumerate(counts, start=1)
-        if 2 * d <= order
+        (f, sign * b_d)
+        for d, b_d in enumerate(counts[: order // 2], start=1)
+        for f, sign in zip(_euler_factor_component(model.q, d, i, model.p), (1, -1))
     )
     return TruncatedSeries(euler_product(factors, order))
 
@@ -211,13 +210,17 @@ def holomorphic_factor_value(model: FieldModel, p: int, r: int, point, degree_cu
     # the bits of the largest b_d on top of PREC_BITS
     with mpmath.workprec(PREC_BITS + max(counts).bit_length()):
         z = mpmath.mpmathify(point)
-        total = mpmath.mpf(1)
+        z_d, total = 1, mpmath.mpf(1)
         for d in range(1, degree_cutoff + 1):
+            z_d *= z
             b_d = counts[d - 1]
             if b_d == 0:
                 continue
-            terms = _holomorphic_factor_terms(model.q, d, p, r)
-            monomials = [coeff * z**power for power, coeff in terms]
+            # the t-powers are d (l + 1) for l = 0, 1, ...: z_d, z_d^2, ...
+            monomials, z_power = [], 1
+            for _, coeff in _holomorphic_factor_terms(model.q, d, p, r):
+                z_power *= z_d
+                monomials.append(coeff * z_power)
             factor = mpmath.mpf(1)
             for m in monomials:
                 factor += m

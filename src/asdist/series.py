@@ -40,12 +40,6 @@ def _divide(a: Scalar, n: int) -> Scalar:
     return a / n
 
 
-def _stride(coeffs: Sequence) -> int:
-    """The w with coeffs a series in t^w: the gcd of the exponents of its
-    non-constant terms, or its length when it has none."""
-    return gcd(*(k for k, x in enumerate(coeffs) if k and x)) or len(coeffs)
-
-
 def mul(a: Sequence, b: Sequence, order: int | None = None) -> list:
     """Product of two coefficient lists, truncated after t^order when given."""
     size = len(a) + len(b) - 1 if order is None else order + 1
@@ -76,28 +70,34 @@ def euler_product(factors: Iterable, order: int) -> list:
     Each F is a coefficient list with nonzero constant term and each e any
     integer.  With every F scaled to constant term 1, the log-derivative
     g = sum e tF'/F gives the product P through n P_n = sum_k g_k P_{n-k}
-    (Brent-Kung 1978), so the cost does not grow with e.  A series in t^w is
-    solved on the multiples of w only.
+    (Brent and Kung 1978), so the cost does not grow with e.  Each tF'/F
+    comes from F h = tF' on the multiples of the gcd w of the exponents of
+    F's terms, summing over those terms only; P is solved on g's stride.
     """
     g = [0] * (order + 1)
     scale = 1
     for coeffs, e in factors:
         if e == 0:
             continue
-        f = list(coeffs[: order + 1]) + [0] * (order + 1 - len(coeffs))
-        c = f[0]
+        c = coeffs[0]
         if c == 0:
             raise ValueError("not invertible as power series")
+        terms = [(k, x) for k, x in enumerate(coeffs[1 : order + 1], 1) if x]
         if c != 1:
             scale *= Fraction(c) ** e
-            f = [_exact(Fraction(x) / c) for x in f]
-        w = _stride(f)
-        h = [0] * (order + 1)  # tF'/F, from F h = tF' with F_0 = 1
+            terms = [(k, _exact(Fraction(x) / c)) for k, x in terms]
+        h = [0] * (order + 1)  # tF'/F: h_n = n F_n - sum_(k<n) F_k h_(n-k)
+        for k, x in terms:
+            h[k] = k * x
+        w = gcd(*(k for k, _ in terms)) or len(h)
         for n in range(w, order + 1, w):
-            h[n] = n * f[n] - sum(f[k] * h[n - k] for k in range(w, n + 1, w))
+            for k, x in terms:
+                if k >= n:
+                    break
+                h[n] -= x * h[n - k]
             g[n] += e * h[n]
     out = [1] + [0] * order
-    w = _stride(g)
+    w = gcd(*(n for n, x in enumerate(g) if x)) or len(g)
     for n in range(w, order + 1, w):
         out[n] = _divide(sum(g[k] * out[n - k] for k in range(w, n + 1, w)), n)
     if scale != 1:

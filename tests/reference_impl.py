@@ -66,6 +66,9 @@ one:
   test_criterion_3_factorization_identity and test_dirichlet's
   test_holomorphic_factor_p2_is_inverse_zeta, test_factorization_identity
   and test_holomorphic_factor_value_matches_series.
+- `euler_factor_direct_sum` (`dirichlet._euler_factor_component` before
+  it became the quotient A/B): `euler_factor_closed_form_check`, and
+  test_dirichlet's test_euler_factor_is_the_quotient_a_over_b.
 - `euler_factor_closed_form_check`: test_acceptance's
   test_criterion_3_factorization_identity and test_dirichlet's
   test_euler_factor_closed_form_examples.
@@ -97,7 +100,6 @@ import mpmath
 from asdist.counting import DivisorModule, Place, abstract_places, wild_exponent
 from asdist.dirichlet import (
     RationalFunctionT,
-    _euler_factor_component,
     _holomorphic_factor_terms,
     _one_plus,
     prime_term,
@@ -460,6 +462,18 @@ def holomorphic_factor_series(
     return TruncatedSeries(euler_product(factors, order))
 
 
+def euler_factor_direct_sum(q: int, d: int, i: int, p: int, order: int) -> list:
+    """Coefficients of the per-prime factor
+    1 + (N^i - 1) sum_{p not | n} N^{i r_n - (n+1) s}."""
+    coeffs = [1] + [0] * order
+    n_i = q ** (d * i)
+    for n in range(1, order // d):  # the terms with d (n + 1) <= order
+        if n % p != 0:
+            power, coeff = prime_term(q, d, i * wild_exponent(n, p), n + 1)
+            coeffs[power] += (n_i - 1) * coeff
+    return coeffs
+
+
 def euler_factor_closed_form_check(
     q: int, d: int, p: int, r: int, order: int
 ) -> bool:
@@ -471,7 +485,7 @@ def euler_factor_closed_form_check(
          (_one_plus(_holomorphic_factor_terms(q, d, p, r)), 1)],
         order,
     )
-    return _euler_factor_component(q, d, r, p, order) == closed
+    return euler_factor_direct_sum(q, d, r, p, order) == closed
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,13 @@ from asdist import (
     subgroup_count_poly,
     zeta_factor_rational,
 )
-from asdist.dirichlet import RationalFunctionT, poly_mul, prime_term
+from asdist.dirichlet import (
+    RationalFunctionT, _euler_factor_component, poly_mul, prime_term,
+)
+from asdist.series import euler_product
 from reference_impl import (
     euler_factor_closed_form_check,
+    euler_factor_direct_sum,
     holomorphic_factor_series,
     modules_up_to_degree,
     rational_series,
@@ -110,8 +114,8 @@ def test_conductor_series_matches_per_module_counts(model, group):
 
 
 def test_conductor_series_holds_one_euler_factor_at_a_time():
-    # q = 2, C_2 to order 320 has 160 dense Euler factors of length 321,
-    # about 0.5 MB held together
+    # q = 2, C_2 to order 320 has 160 Euler factors A/B, whose 320 lists
+    # (51,840 slots, about 0.4 MB) would be held together by a list
     conductor_series(Q2, C2, 320)
     tracemalloc.start()
     try:
@@ -198,6 +202,17 @@ def test_factorization_identity(p, r, q):
         rational_series(zeta_factor_rational(model, p, r), order)
     )
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_euler_factor_is_the_quotient_a_over_b(p):
+    for q, i, d in product((p, p * p), (1, 2, 3), (1, 2, 3)):
+        order = 4 * p * d
+        a, b = _euler_factor_component(q, d, i, p)
+        assert len(a) == len(b) == p * d + 1
+        assert sum(1 for c in a if c) == p and sum(1 for c in b if c) == 2
+        quotient = euler_product([(a, 1), (b, -1)], order)
+        assert quotient == euler_factor_direct_sum(q, d, i, p, order)
 
 
 def test_euler_factor_closed_form_examples():

@@ -200,6 +200,30 @@ def test_euler_product_scales_out_non_unit_constants():
         assert euler_product([(f, e)], order) == _schoolbook_power(f, e, order)
 
 
+@pytest.mark.parametrize(
+    "f, e, order",
+    [
+        ([1, 0, 3, 0, 0, 0, 0], 5, 4),  # trailing zeros
+        ([1, 2, 0, -1, 0, 7, 0, 0, 4, 1], -3, 5),  # longer than order + 1
+        ([1, 0, 0, 0, 0, 0, 0, 9], 4, 6),  # every term past the order
+        ([1, 0, 0, 0, 0, 0, 0, 9], -2, 7),  # the order reaches that term
+        ([2, 0, 0, 0, 0, 0, 0, 3], 3, 5),  # constant 2, terms past the order
+        ([3, 0, 0, -2, 0, 0, 0, 0, 0, 5], -2, 11),  # sparse, constant 3
+        ([Fraction(1, 2), 0, 0, 0, 4], 3, 9),  # sparse, constant 1/2
+        ([1, 0, 0, 0, 5, 0, 0, 0, 2], -4, 11),  # stride 4 does not divide 11
+        ([1, 0, 0, 0, 0, 0, -7], 10**9, 16),  # stride 6 does not divide 16
+        ([1, 0, 0, 0, 0, 0, 2, 0, 0, -3], -1, 10),  # stride 3, from t^6 and t^9
+    ],
+)
+def test_euler_product_sparse_edge_cases(f, e, order):
+    assert euler_product([(f, e)], order) == _schoolbook_power(f, e, order)
+    g = [1, 0, -1]
+    expected = _schoolbook_mul(
+        _schoolbook_power(f, e, order), _schoolbook_power(g, -1, order), order
+    )
+    assert euler_product([(f, e), (g, -1)], order) == expected
+
+
 def test_integer_inputs_give_int_coefficients():
     def ints(coeffs):
         return all(type(c) is int for c in coeffs)
