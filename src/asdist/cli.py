@@ -48,8 +48,9 @@ from .tauberian import closed_form_constant, tauberian_constant
 # ceilings on --order (and --bound and the degree of --module) and --r, so
 # that a mistyped value exits 2 at once instead of running for hours; at its
 # ceiling a command on a small field takes seconds to a minute (on a 2-vCPU
-# VM, series --order 2000 1-1.5 s at --q 2 --p 2, 5-9 s at --q 5 --p 5 and
-# 48-67 s at --q 5 --p 5 --r 3, the O(r^4) rank check at most 0.13 s)
+# VM, series --order 2000 0.7-0.85 s at --q 2 --p 2, 4.3-5.3 s at --q 5
+# --p 5 and 36-49 s at --q 5 --p 5 --r 3, the O(r^4) rank check at most
+# 0.13 s)
 MAX_ORDER = 2000
 MAX_RANK = 64
 
@@ -325,11 +326,15 @@ def run() -> None:
 
     Freezing first moves the import-time heap (mostly sympy and mpmath) to
     the permanent generation, so neither later collections nor the one at
-    interpreter exit walk it again.  Exact counts can have more digits than
-    Python converts to decimal by default (4,300), so the limit is lifted
-    when no argument is longer than it: an integer in argv still has to
-    fit the limit.  `main` itself stays free of these process-wide effects,
-    so it can be called in-process any number of times."""
+    interpreter exit walk it again.  That is safe only because every command
+    writes through stdout, which the interpreter flushes explicitly at exit:
+    an open file caught in a frozen reference cycle is never freed, so never
+    flushed, and any file a command writes must be closed explicitly.  Exact
+    counts can have more digits than Python converts to decimal by default
+    (4,300), so the limit is lifted when no argument is longer than it: an
+    integer in argv still has to fit the limit.  `main` itself stays free of
+    these process-wide effects, so it can be called in-process any number of
+    times."""
     gc.freeze()
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     if limit and all(len(arg) <= limit for arg in sys.argv[1:]):

@@ -29,14 +29,6 @@ def prime_term(q: int, d: int, u: int, v: int) -> tuple:
 # ---------------------------------------------------------------------------
 # integer polynomials in t (ascending coefficients)
 
-def _one_plus(terms) -> list:
-    """Coefficients of 1 + sum c t^w over the monomials (w, c) in terms."""
-    out = [1] + [0] * max(w for w, _ in terms)
-    for w, c in terms:
-        out[w] += c
-    return out
-
-
 def _poly_trim(a):
     while len(a) > 1 and a[-1] == 0:
         a = a[:-1]
@@ -73,14 +65,15 @@ class RationalFunctionT:
 
 def _euler_factor_component(q: int, d: int, i: int, p: int) -> tuple:
     """(A, B): the paper's local factor 1 + (N^i - 1) sum_{p not | n}
-    N^{i r_n - (n+1) s} of the i-th component as A/B.  With u = N^{-s}, r_n
-    grows by p - 1 every p steps, so B = 1 - N^{i(p-1)} u^p and
+    N^{i r_n - (n+1) s} of the i-th component as A/B, each as the (t-power,
+    coefficient) monomials past its constant 1.  With u = N^{-s}, r_n grows
+    by p - 1 every p steps, so B = 1 - N^{i(p-1)} u^p and
     A = 1 + (N^i - 1) sum_{s=0}^{p-3} N^{is} u^{s+2} - N^{i(p-2)} u^p."""
     n_i = q ** (d * i)
     a = [(w, (n_i - 1 if s < p - 2 else -1) * c)
          for s in range(p - 1) for w, c in [prime_term(q, d, i * s, s + 2)]]
     w, c = prime_term(q, d, i * (p - 1), p)
-    return _one_plus(a), _one_plus([(w, -c)])
+    return a, [(w, -c)]
 
 
 def euler_component_series(
@@ -89,12 +82,11 @@ def euler_component_series(
     """The i-th Euler product component of the conductor series (1 <= i <= r)."""
     if not 1 <= i <= group.r:
         raise ModelError(f"component index {i} out of range 1..{group.r}")
-    counts = model.place_counts(order) if order >= 1 else []
     # A^b_d and B^-b_d for each degree with 2d <= order; a generator, so
     # euler_product holds one prime's A and B at a time
     factors = (
         (f, sign * b_d)
-        for d, b_d in enumerate(counts[: order // 2], start=1)
+        for d, b_d in enumerate(model.place_counts(order // 2), start=1)
         for f, sign in zip(_euler_factor_component(model.q, d, i, model.p), (1, -1))
     )
     return TruncatedSeries(euler_product(factors, order))
@@ -123,9 +115,9 @@ def error_term_series(model: FieldModel, group: GroupSpec, order: int) -> Trunca
             f"one for each of the {2 * model.genus}^{sum(counts)} - 1 "
             f"nontrivial exceptional modules, the model supplies {supplied}"
         )
-    inv_zeta_2s = [(subst_monomial(model.l_poly, 1, 2), -1),
-                   (_one_plus([(2, -1)]), 1), (_one_plus([(2, -model.q)]), 1)]
-    small = [(_one_plus([(2 * d, -1)]), -b_d) for d, b_d in enumerate(counts, start=1)]
+    l_of_t2 = [(2 * k, c) for k, c in enumerate(model.l_poly) if k and c]
+    inv_zeta_2s = [(l_of_t2, -1), ([(2, -1)], 1), ([(2, -model.q)], 1)]
+    small = [([(2 * d, -1)], -b_d) for d, b_d in enumerate(counts, start=1)]
     restricted = euler_product(inv_zeta_2s + small, order)
     poly = TruncatedSeries.zero(order)
     for module in sorted(exceptional_modules(model), key=lambda m: (m.degree, repr(m))):
@@ -190,7 +182,7 @@ def zeta_factor_rational(model: FieldModel, p: int, r: int) -> RationalFunctionT
         num = poly_mul(num, subst_monomial(model.l_poly, model.q ** ((l - 1) * r), l))
     den = [1]
     for l, e in zeta_factor_binomials(p, r):
-        den = poly_mul(den, _one_plus([(l, -model.q**e)]))
+        den = poly_mul(den, [1] + [0] * (l - 1) + [-model.q**e])
     return RationalFunctionT(tuple(num), tuple(den))
 
 

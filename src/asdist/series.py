@@ -65,31 +65,25 @@ def subst_monomial(a: Sequence, scale: Scalar, power: int, order: int | None = N
 
 
 def euler_product(factors: Iterable, order: int) -> list:
-    """prod F**e over the (F, e) in `factors`, truncated after t^order.
+    """prod F**e over the (terms, e) in `factors`, truncated after t^order.
 
-    Each F is a coefficient list with nonzero constant term and each e any
-    integer.  With every F scaled to constant term 1, the log-derivative
-    g = sum e tF'/F gives the product P through n P_n = sum_k g_k P_{n-k}
-    (Brent and Kung 1978), so the cost does not grow with e.  Each tF'/F
-    comes from F h = tF' on the multiples of the gcd w of the exponents of
-    F's terms, summing over those terms only; P is solved on g's stride.
+    Each F = 1 + sum x t^k comes as its nonzero monomials (k, x), k >= 1 in
+    ascending order, and each e is any integer; monomials past t^order are
+    skipped.  The log-derivative g = sum e tF'/F gives the product P through
+    n P_n = sum_k g_k P_{n-k} (Brent and Kung 1978), so the cost does not
+    grow with e.  Each tF'/F comes from F h = tF' on the multiples of the
+    gcd w of F's exponents, summing over F's monomials only; P is solved on
+    g's stride.
     """
     g = [0] * (order + 1)
-    scale = 1
-    for coeffs, e in factors:
-        if e == 0:
+    for terms, e in factors:
+        terms = [(k, x) for k, x in terms if k <= order]
+        if e == 0 or not terms:
             continue
-        c = coeffs[0]
-        if c == 0:
-            raise ValueError("not invertible as power series")
-        terms = [(k, x) for k, x in enumerate(coeffs[1 : order + 1], 1) if x]
-        if c != 1:
-            scale *= Fraction(c) ** e
-            terms = [(k, _exact(Fraction(x) / c)) for k, x in terms]
         h = [0] * (order + 1)  # tF'/F: h_n = n F_n - sum_(k<n) F_k h_(n-k)
         for k, x in terms:
             h[k] = k * x
-        w = gcd(*(k for k, _ in terms)) or len(h)
+        w = gcd(*(k for k, _ in terms))
         for n in range(w, order + 1, w):
             for k, x in terms:
                 if k >= n:
@@ -100,8 +94,6 @@ def euler_product(factors: Iterable, order: int) -> list:
     w = gcd(*(n for n, x in enumerate(g) if x)) or len(g)
     for n in range(w, order + 1, w):
         out[n] = _divide(sum(g[k] * out[n - k] for k in range(w, n + 1, w)), n)
-    if scale != 1:
-        out = [_exact(scale * x) for x in out]
     return out
 
 
@@ -155,7 +147,7 @@ class TruncatedSeries:
 
     def inv(self) -> "TruncatedSeries":
         """Multiplicative inverse up to the truncation order."""
-        return TruncatedSeries(euler_product([(self.coeffs, -1)], self.order))
+        return self.pow(-1)
 
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, or None for the zero series."""
@@ -165,17 +157,21 @@ class TruncatedSeries:
         return None
 
     def pow(self, exponent: int) -> "TruncatedSeries":
-        """Integer power.  A zero constant term is shifted out by the
-        valuation; negative exponents need a nonzero constant term."""
-        m = self.order
-        v = self.valuation()
-        if exponent > 0 and v != 0:
-            if v is None or v * exponent > m:
-                return TruncatedSeries.zero(m)
-            shift = v * exponent
-            body = euler_product([(self.coeffs[v:], exponent)], m - shift)
-            return TruncatedSeries((0,) * shift + tuple(body))
-        return TruncatedSeries(euler_product([(self.coeffs, exponent)], m))
+        """Integer power.  The lowest term c t^v is factored out, leaving a
+        factor with constant term 1 for `euler_product`; negative exponents
+        need a nonzero constant term."""
+        m, v = self.order, self.valuation()
+        if exponent == 0:
+            return TruncatedSeries.constant(1, m)
+        if exponent < 0 and v != 0:
+            raise ValueError("not invertible as power series")
+        if v is None or v * exponent > m:
+            return TruncatedSeries.zero(m)
+        c = Fraction(self.coeffs[v])
+        terms = [(k, _exact(x / c)) for k, x in enumerate(self.coeffs[v + 1 :], 1) if x]
+        shift = v * exponent
+        body = euler_product([(terms, exponent)], m - shift)
+        return TruncatedSeries((0,) * shift + tuple(c**exponent * x for x in body))
 
     def __repr__(self):
         shown = ", ".join(str(c) for c in self.coeffs[:8])

@@ -47,6 +47,10 @@ one:
   test_modules_up_to_degree_census, and test_dirichlet's
   test_conductor_series_matches_per_module_counts and
   test_conductor_series_genus2_matches_per_module_counts.
+- `dense_euler_product`, not former code but an adapter that hands
+  coefficient lists to `euler_product` as their monomials: `zeta_series`,
+  `rational_series`, and test_series's _product helper and
+  test_integer_inputs_give_int_coefficients.
 - `geometric`: test_series's test_mul_geometric_telescopes,
   test_inv_geometric, test_subst_monomial_zeta_argument and
   test_pow_negative_inverts.
@@ -101,7 +105,6 @@ from asdist.counting import DivisorModule, Place, abstract_places, wild_exponent
 from asdist.dirichlet import (
     RationalFunctionT,
     _holomorphic_factor_terms,
-    _one_plus,
     prime_term,
 )
 from asdist.field import FieldModel
@@ -427,14 +430,25 @@ def substitute(f: TruncatedSeries, scale: Scalar, power: int) -> TruncatedSeries
     return TruncatedSeries(subst_monomial(f.coeffs, scale, power, f.order))
 
 
+def dense_euler_product(factors, order: int) -> list:
+    """`euler_product` over factors given as coefficient lists (ascending,
+    constant term 1) instead of their nonzero monomials."""
+    def monomials(coeffs):
+        if coeffs[0] != 1:
+            raise ValueError(f"factor {list(coeffs)} has constant term != 1")
+        return [(k, x) for k, x in enumerate(coeffs) if k and x]
+
+    return euler_product(((monomials(f), e) for f, e in factors), order)
+
+
 def zeta_series(model: FieldModel, order: int) -> TruncatedSeries:
     """Expansion of L(t) / ((1 - t)(1 - q t)) to the given order."""
     factors = [(model.l_poly, 1), ([1, -1], -1), ([1, -model.q], -1)]
-    return TruncatedSeries(euler_product(factors, order))
+    return TruncatedSeries(dense_euler_product(factors, order))
 
 
 def rational_series(f: RationalFunctionT, order: int) -> TruncatedSeries:
-    inverse = euler_product([(f.denominator, -1)], order)
+    inverse = dense_euler_product([(f.denominator, -1)], order)
     return TruncatedSeries(series_mul(f.numerator, inverse, order))
 
 
@@ -454,7 +468,7 @@ def holomorphic_factor_series(
     counts = model.place_counts(order) if order >= 1 else []
     # (1 + sum m) then each (1 - m), one prime at a time
     factors = (
-        (_one_plus(part), b_d)
+        (part, b_d)
         for d, b_d in enumerate(counts, start=1)
         for terms in [_holomorphic_factor_terms(model.q, d, p, r)]
         for part in [terms] + [[(w, -c)] for w, c in terms]
@@ -481,8 +495,8 @@ def euler_factor_closed_form_check(
     closed meromorphic form as truncated series."""
     power, coeff = prime_term(q, d, (p - 1) * r, p)
     closed = euler_product(
-        [(_one_plus([(power, -coeff)]), -1), (_one_plus([(d, -1)]), 1),
-         (_one_plus(_holomorphic_factor_terms(q, d, p, r)), 1)],
+        [([(power, -coeff)], -1), ([(d, -1)], 1),
+         (_holomorphic_factor_terms(q, d, p, r), 1)],
         order,
     )
     return euler_factor_direct_sum(q, d, r, p, order) == closed

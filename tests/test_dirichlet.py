@@ -1,4 +1,5 @@
 """Dirichlet-series assembly, zeta factorization, poles, derived views."""
+import hashlib
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -113,9 +114,27 @@ def test_conductor_series_matches_per_module_counts(model, group):
     assert totals == [int(c) for c in series.coeffs]
 
 
+def test_conductor_series_at_the_order_ceiling():
+    # the coefficients at the --order ceiling of 2000, and below it for the
+    # larger field and rank, pinned by their sha256
+    cases = [
+        (2, 2, 1, 2000,
+         "05318116da291a0fbe4849d716e649b1faf5a7b0f9095562dc03f9e93020333c"),
+        (5, 5, 1, 1000,
+         "303c428773dfbf54ea011293643fefab968409409d87dfbead7d29a3ec2c0381"),
+        (3, 3, 2, 600,
+         "f9cd4743842853c8225792da2c64de0a7a7767ef68e50c48dd7113d6b0f4d0d1"),
+    ]
+    for q, p, r, order, digest in cases:
+        series = conductor_series(rational_field(q, p), subgroup_count_poly(p, r), order)
+        text = ",".join(str(int(c)) for c in series.coeffs)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_conductor_series_holds_one_euler_factor_at_a_time():
-    # q = 2, C_2 to order 320 has 160 Euler factors A/B, whose 320 lists
-    # (51,840 slots, about 0.4 MB) would be held together by a list
+    # q = 2, C_2 to order 320 has 160 Euler factors A/B; they arrive as a
+    # generator, so one prime's monomials are alive at a time and the peak
+    # is the kernel's few lists of order + 1 coefficients
     conductor_series(Q2, C2, 320)
     tracemalloc.start()
     try:
@@ -209,8 +228,10 @@ def test_euler_factor_is_the_quotient_a_over_b(p):
     for q, i, d in product((p, p * p), (1, 2, 3), (1, 2, 3)):
         order = 4 * p * d
         a, b = _euler_factor_component(q, d, i, p)
-        assert len(a) == len(b) == p * d + 1
-        assert sum(1 for c in a if c) == p and sum(1 for c in b if c) == 2
+        # A has p terms and B two, their constant 1 included
+        assert len(a) == p - 1 and len(b) == 1
+        assert all(c for _, c in a + b) and a[-1][0] == b[0][0] == p * d
+        assert [k for k, _ in a] == sorted(k for k, _ in a)
         quotient = euler_product([(a, 1), (b, -1)], order)
         assert quotient == euler_factor_direct_sum(q, d, i, p, order)
 

@@ -71,3 +71,20 @@ def test_import_heap_is_in_the_oldest_generation():
         " for o in gc.get_objects(generation=2)))\n"
     )
     assert out == "True"
+
+
+def test_import_keeps_a_host_s_unclosed_writes(tmp_path):
+    # A file left open at module level is flushed when the interpreter frees
+    # it at exit.  A module-level function puts the host's globals in a
+    # reference cycle, which only the exit-time collection frees, and that
+    # collection skips frozen objects: a heap frozen at exit, or an import
+    # heap (the host's globals included) left frozen, loses the write.
+    target = tmp_path / "out.txt"
+    child(
+        "import asdist\n"
+        "def report(text):\n"
+        "    log.write(text)\n"
+        f"log = open({str(target)!r}, 'w')\n"
+        "report('x')\n"
+    )
+    assert target.read_text() == "x"

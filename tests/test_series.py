@@ -12,7 +12,7 @@ from asdist import (
     subgroup_count_poly,
 )
 from asdist.series import euler_product, mul
-from reference_impl import geometric, substitute
+from reference_impl import dense_euler_product, geometric, substitute
 
 
 def S(*coeffs, order=None):  # padded with zeros up to t^order
@@ -173,6 +173,17 @@ def _schoolbook_power(f, e, order):
     return result
 
 
+def _product(factors, order):
+    """prod f**e over dense factors f: those with constant term 1 through one
+    `euler_product` call, the others through `TruncatedSeries.pow`."""
+    out = dense_euler_product([(f, e) for f, e in factors if f[0] == 1], order)
+    for f, e in factors:
+        if f[0] != 1:
+            f = (list(f) + [0] * order)[: order + 1]
+            out = mul(out, TruncatedSeries(tuple(f)).pow(e).coeffs, order)
+    return out
+
+
 def test_euler_product_matches_schoolbook_on_random_factors():
     rng = random.Random(1978)
     for _ in range(150):
@@ -187,17 +198,17 @@ def test_euler_product_matches_schoolbook_on_random_factors():
         for f, e in factors:
             power = _schoolbook_power(f, e, order)
             expected = _schoolbook_mul(expected, power, order)
-        assert euler_product(factors, order) == expected
+        assert _product(factors, order) == expected
 
 
-def test_euler_product_scales_out_non_unit_constants():
+def test_pow_scales_out_non_unit_constants():
     rng = random.Random(2)
     for _ in range(100):
         order = rng.randint(0, 8)
         f = [rng.choice((2, -3, Fraction(1, 2)))]
         f += [rng.randint(-4, 4) for _ in range(4)]
         e = rng.randint(-5, 5)
-        assert euler_product([(f, e)], order) == _schoolbook_power(f, e, order)
+        assert _product([(f, e)], order) == _schoolbook_power(f, e, order)
 
 
 @pytest.mark.parametrize(
@@ -216,12 +227,25 @@ def test_euler_product_scales_out_non_unit_constants():
     ],
 )
 def test_euler_product_sparse_edge_cases(f, e, order):
-    assert euler_product([(f, e)], order) == _schoolbook_power(f, e, order)
+    assert _product([(f, e)], order) == _schoolbook_power(f, e, order)
     g = [1, 0, -1]
     expected = _schoolbook_mul(
         _schoolbook_power(f, e, order), _schoolbook_power(g, -1, order), order
     )
-    assert euler_product([(f, e), (g, -1)], order) == expected
+    assert _product([(f, e), (g, -1)], order) == expected
+
+
+def test_euler_product_takes_monomials():
+    # monomials past the order are skipped
+    assert euler_product([([(2, 3), (9, 1)], 2)], 5) == [1, 0, 6, 0, 9, 0]
+    # e = 0 contributes nothing
+    assert euler_product([([(1, 5)], 0), ([(1, -1)], -1)], 3) == [1, 1, 1, 1]
+    # a factor with no monomial at or below the order acts as 1, also when
+    # it is the only factor
+    assert euler_product([([(7, 9), (8, 1)], -2), ([(3, 1)], 1)], 6) == [
+        1, 0, 0, 1, 0, 0, 0]
+    assert euler_product([([(7, 9)], 3)], 6) == [1, 0, 0, 0, 0, 0, 0]
+    assert euler_product([], 2) == [1, 0, 0]
 
 
 def test_integer_inputs_give_int_coefficients():
@@ -230,8 +254,8 @@ def test_integer_inputs_give_int_coefficients():
 
     f = S(1, -3, 0, 7, 2, order=12)
     assert ints(mul([1, 2, 3], [-1, 0, 5]))
-    assert ints(euler_product([([1, 1, 2], 10**9), ([1, 0, -4], -3)], 20))
-    assert ints(euler_product([([-1, 0, 4], -3)], 20))
+    assert ints(dense_euler_product([([1, 1, 2], 10**9), ([1, 0, -4], -3)], 20))
+    assert ints(_product([([-1, 0, 4], -3)], 20))
     assert ints(f.inv().coeffs) and ints(f.pow(-7).coeffs)
     assert ints(f.pow(5).coeffs) and ints(f.mul(f).coeffs)
     assert ints(substitute(f, 3, 2).coeffs)
