@@ -14,6 +14,7 @@ from typing import Iterable, Mapping
 
 from .errors import ConsistencyError, ModelError, UnsupportedInputError
 from .field import FieldModel, is_prime
+from .series import mul
 
 
 @dataclass(frozen=True, order=True)
@@ -95,12 +96,7 @@ class GroupSpec:
     def quotient_count(self, x) -> Fraction:
         """e(x): number of subgroups U of an elementary abelian group A with
         |A| = p*x such that A/U is isomorphic to C_p^r."""
-        acc = Fraction(0)
-        xp = Fraction(1)
-        for c in self.e_coeffs:
-            acc += c * xp
-            xp *= x
-        return acc
+        return sum((c * x**k for k, c in enumerate(self.e_coeffs)), Fraction(0))
 
 
 def subgroup_count_poly(p: int, r: int) -> GroupSpec:
@@ -112,11 +108,7 @@ def subgroup_count_poly(p: int, r: int) -> GroupSpec:
     coeffs = [Fraction(1)]
     for i in range(r):
         denom = p**r - p**i
-        new = [Fraction(0)] * (len(coeffs) + 1)
-        for j, c in enumerate(coeffs):
-            new[j + 1] += c * Fraction(p, denom)
-            new[j] -= c * Fraction(p**i, denom)
-        coeffs = new
+        coeffs = mul(coeffs, [Fraction(-(p**i), denom), Fraction(p, denom)])
     return GroupSpec(p, r, tuple(coeffs))
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 
 import mpmath
@@ -101,8 +102,7 @@ def error_term_series(model: FieldModel, group: GroupSpec, order: int) -> Trunca
     # restricted product over primes of degree > 2g-2 of (1 - N^{-2s})
     # = zeta(2s)^{-1} = (1 - t^2)(1 - q t^2) / L(t^2), corrected by the
     # finitely many small-degree primes
-    threshold = 2 * model.genus - 2
-    counts = model.place_counts(threshold) if threshold >= 1 else []
+    counts = model.place_counts(2 * model.genus - 2)
     # every nontrivial exceptional module needs a count from the model, and
     # there are (2g)^n - 1 of them over the n places of degree <= 2g - 2:
     # refuse a short model before enumerating them.  The exponent is capped
@@ -115,8 +115,7 @@ def error_term_series(model: FieldModel, group: GroupSpec, order: int) -> Trunca
             f"one for each of the {2 * model.genus}^{sum(counts)} - 1 "
             f"nontrivial exceptional modules, the model supplies {supplied}"
         )
-    l_of_t2 = [(2 * k, c) for k, c in enumerate(model.l_poly) if k and c]
-    inv_zeta_2s = [(l_of_t2, -1), ([(2, -1)], 1), ([(2, -model.q)], 1)]
+    inv_zeta_2s = [(f, -e) for f, e in model.zeta_factors(2)]
     small = [([(2 * d, -1)], -b_d) for d, b_d in enumerate(counts, start=1)]
     restricted = euler_product(inv_zeta_2s + small, order)
     poly = TruncatedSeries.zero(order)
@@ -284,11 +283,7 @@ def counting_function(model: FieldModel, group: GroupSpec, up_to_degree: int) ->
     """Partial sums of the conductor series: counts of extensions with
     conductor degree <= n, for n = 0..up_to_degree."""
     series = conductor_series(model, group, up_to_degree)
-    out, acc = [], 0
-    for c in series.coeffs:
-        acc += int(c)
-        out.append(acc)
-    return out
+    return list(accumulate(int(c) for c in series.coeffs))
 
 
 @dataclass(frozen=True)

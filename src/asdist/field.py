@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .errors import ModelError
+from .series import log_derivative
 
 VALIDATION_DEPTH = 12
 
@@ -25,23 +26,6 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
-
-
-def mobius(n: int) -> int:
-    if n < 1:
-        raise ValueError("mobius is defined for positive integers")
-    result = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            result = -result
-        d += 1
-    if n > 1:
-        result = -result
-    return result
 
 
 def prime_power_exponent(q: int, p: int) -> int | None:
@@ -65,34 +49,31 @@ class FieldModel:
     def class_number(self) -> int:
         return sum(self.l_poly)
 
-    def inverse_root_power_sums(self, depth: int) -> list:
-        """Power sums of the inverse zeros of the L-polynomial (Newton)."""
-        a = self.l_poly
-        deg = len(a) - 1
-        s = [0] * (depth + 1)
-        for k in range(1, depth + 1):
-            acc = k * a[k] if k <= deg else 0
-            for j in range(1, min(k, deg + 1)):
-                acc += a[j] * s[k - j]
-            s[k] = -acc
-        return s
+    def zeta_factors(self, power: int) -> list:
+        """Z(t^power) = L(t^power) / ((1 - t^power)(1 - q t^power)) as the
+        (monomials, exponent) factors of `series.euler_product`."""
+        l_terms = [(power * k, c) for k, c in enumerate(self.l_poly) if k and c]
+        return [(l_terms, 1), ([(power, -1)], -1), ([(power, -self.q)], -1)]
 
     def point_counts(self, depth: int) -> list:
-        """N_d = number of rational points over the degree-d constant extension."""
-        s = self.inverse_root_power_sums(depth)
-        return [None] + [self.q**d + 1 - s[d] for d in range(1, depth + 1)]
+        """The coefficients 0..depth of tZ'/Z = sum_(d >= 1) N_d t^d, where
+        N_d = number of rational points over the degree-d constant extension."""
+        return log_derivative(self.zeta_factors(1), depth)
 
     def place_counts(self, depth: int) -> list:
-        """b_d = number of places of degree d, for d = 1..depth."""
+        """b_d = number of places of degree d, for d = 1..depth, solved
+        upward from N_d = sum_(e | d) e b_e."""
         n = self.point_counts(depth)
         b = []
         for d in range(1, depth + 1):
-            total = sum(mobius(e) * n[d // e] for e in range(1, d + 1) if d % e == 0)
+            total = n[d]  # N_d less e b_e for each divisor e < d, taken off below
             if total % d != 0 or total < 0:
                 raise ModelError(
                     f"inconsistent L-polynomial: place count b_{d} = {total}/{d}"
                 )
             b.append(total // d)
+            for m in range(2 * d, depth + 1, d):
+                n[m] -= total
         return b
 
     def zeta_value(self, k: int) -> Fraction:

@@ -2,8 +2,10 @@
 
 The kernel works on plain coefficient lists (ascending degree) with two
 primitives: the Cauchy product `mul` and the Euler product `euler_product`.
-Integer inputs stay Python ints end to end; every division is exact and
-checked, so `Fraction` appears only where a result is not integral.
+The first half of `euler_product`, `log_derivative`, also gives a field's
+point counts.  Integer inputs stay Python ints end to end; every division
+is exact and checked, so `Fraction` appears only where a result is not
+integral.
 
 `TruncatedSeries` is the public value type over that kernel: it stores its
 coefficients 0..order (inclusive), integral ones as int, and offers the sum
@@ -64,16 +66,13 @@ def subst_monomial(a: Sequence, scale: Scalar, power: int, order: int | None = N
     return out
 
 
-def euler_product(factors: Iterable, order: int) -> list:
-    """prod F**e over the (terms, e) in `factors`, truncated after t^order.
+def log_derivative(factors: Iterable, order: int) -> list:
+    """g = sum e tF'/F over the (terms, e) in `factors`, truncated after t^order.
 
     Each F = 1 + sum x t^k comes as its nonzero monomials (k, x), k >= 1 in
     ascending order, and each e is any integer; monomials past t^order are
-    skipped.  The log-derivative g = sum e tF'/F gives the product P through
-    n P_n = sum_k g_k P_{n-k} (Brent and Kung 1978), so the cost does not
-    grow with e.  Each tF'/F comes from F h = tF' on the multiples of the
-    gcd w of F's exponents, summing over F's monomials only; P is solved on
-    g's stride.
+    skipped.  Each tF'/F comes from F h = tF' on the multiples of the gcd w
+    of F's exponents, summing over F's monomials only.
     """
     g = [0] * (order + 1)
     for terms, e in factors:
@@ -90,6 +89,16 @@ def euler_product(factors: Iterable, order: int) -> list:
                     break
                 h[n] -= x * h[n - k]
             g[n] += e * h[n]
+    return g
+
+
+def euler_product(factors: Iterable, order: int) -> list:
+    """prod F**e over the (terms, e) in `factors`, truncated after t^order,
+    with factors as in `log_derivative`.  Its g = sum e tF'/F gives the
+    product P through n P_n = sum_k g_k P_{n-k} (Brent and Kung 1978), so
+    the cost does not grow with e; P is solved on g's stride.
+    """
+    g = log_derivative(factors, order)
     out = [1] + [0] * order
     w = gcd(*(n for n, x in enumerate(g) if x)) or len(g)
     for n in range(w, order + 1, w):

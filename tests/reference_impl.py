@@ -47,6 +47,14 @@ one:
   test_modules_up_to_degree_census, and test_dirichlet's
   test_conductor_series_matches_per_module_counts and
   test_conductor_series_genus2_matches_per_module_counts.
+- `mobius` (`asdist.field.mobius`): test_field's
+  test_genus0_place_counts_match_irreducible_counts (Gauss' formula) and
+  test_counts_match_newton_and_mobius.
+- `newton_power_sums` (`FieldModel.inverse_root_power_sums`, Newton's
+  identities): test_field's test_counts_match_newton_and_mobius.
+- `subgroup_count_coeffs` (the former expansion loop of
+  `subgroup_count_poly`): test_counting's
+  test_e_coeffs_match_the_factor_by_factor_expansion.
 - `dense_euler_product`, not former code but an adapter that hands
   coefficient lists to `euler_product` as their monomials: `zeta_series`,
   `rational_series`, and test_series's _product helper and
@@ -97,6 +105,7 @@ sys.path, and bench/ has a reference.py of its own.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Iterator
 
 import mpmath
@@ -375,6 +384,54 @@ def _reduce_finite_block(block: dict, modulus, gf):
 
 
 # ---------------------------------------------------------------------------
+# place counts and subgroup counts (from asdist.field and asdist.counting)
+
+def mobius(n: int) -> int:
+    if n < 1:
+        raise ValueError("mobius is defined for positive integers")
+    result = 1
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            result = -result
+        d += 1
+    if n > 1:
+        result = -result
+    return result
+
+
+def newton_power_sums(model: FieldModel, depth: int) -> list:
+    """Power sums s_0..s_depth of the inverse zeros of the L-polynomial,
+    by Newton's identities (`FieldModel.inverse_root_power_sums`)."""
+    a = model.l_poly
+    deg = len(a) - 1
+    s = [0] * (depth + 1)
+    for k in range(1, depth + 1):
+        acc = k * a[k] if k <= deg else 0
+        for j in range(1, min(k, deg + 1)):
+            acc += a[j] * s[k - j]
+        s[k] = -acc
+    return s
+
+
+def subgroup_count_coeffs(p: int, r: int) -> tuple:
+    """The coefficients of e(X) = prod_{i<r} (pX - p^i)/(p^r - p^i), expanded
+    one linear factor at a time (`subgroup_count_poly`)."""
+    coeffs = [Fraction(1)]
+    for i in range(r):
+        denom = p**r - p**i
+        new = [Fraction(0)] * (len(coeffs) + 1)
+        for j, c in enumerate(coeffs):
+            new[j + 1] += c * Fraction(p, denom)
+            new[j] -= c * Fraction(p**i, denom)
+        coeffs = new
+    return tuple(coeffs)
+
+
+# ---------------------------------------------------------------------------
 # modules and unit groups (from asdist.counting)
 
 def divisors(module: DivisorModule) -> Iterator[DivisorModule]:
@@ -465,11 +522,10 @@ def holomorphic_factor_series(
     model: FieldModel, p: int, r: int, order: int
 ) -> TruncatedSeries:
     """Truncated series of the holomorphic factor of the factorization."""
-    counts = model.place_counts(order) if order >= 1 else []
     # (1 + sum m) then each (1 - m), one prime at a time
     factors = (
         (part, b_d)
-        for d, b_d in enumerate(counts, start=1)
+        for d, b_d in enumerate(model.place_counts(order), start=1)
         for terms in [_holomorphic_factor_terms(model.q, d, p, r)]
         for part in [terms] + [[(w, -c)] for w, c in terms]
     )

@@ -238,6 +238,11 @@ def test_impossible_models_and_modules_exit_2(capsys):
     code, out, err = run(capsys, "series", "--q", "2", "--p", "2", "--genus", "1",
                          "--l-poly", "1,x")
     assert (code, out) == (2, "") and "--l-poly" in err
+    # 1 + 5t + 3t^2 over F_3 gives N_1 = 9 and N_2 = -9, so 2 b_2 = -9 - b_1
+    code, out, err = run(capsys, "series", "--q", "3", "--p", "3", "--genus", "1",
+                         "--l-poly", "1,5,3")
+    assert (code, out) == (2, "")
+    assert err == "error: inconsistent L-polynomial: place count b_2 = -18/2\n"
     code, _, err = run(capsys, "conductor", "--q", "2", "--p", "2",
                        "--module", "1.a^2,1.b^2,1.c^2,1.d^2")
     assert code == 2 and "places of degree 1" in err

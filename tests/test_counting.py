@@ -25,6 +25,7 @@ from reference_impl import (
     divisors,
     modules_up_to_degree,
     selmer_trivial,
+    subgroup_count_coeffs,
     unit_group_size,
 )
 
@@ -39,6 +40,18 @@ def test_subgroup_count_poly_examples():
     g = subgroup_count_poly(2, 2)
     assert g.quotient_count(1) == 0
     assert g.quotient_count(2) == 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_e_coeffs_match_the_factor_by_factor_expansion(p):
+    for r in range(1, 9):
+        g = subgroup_count_poly(p, r)
+        assert g.e_coeffs == subgroup_count_coeffs(p, r)
+        assert all(type(c) is Fraction for c in g.e_coeffs)
+        for x in (1, p, p**r, Fraction(1, p)):
+            assert g.quotient_count(x) == math.prod(
+                Fraction(p * x - p**i, p**r - p**i) for i in range(r)
+            )
 
 
 def _brute_force_c2c2_quotients(n):

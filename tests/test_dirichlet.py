@@ -2,7 +2,7 @@
 import hashlib
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import lcm
 
 import mpmath
@@ -28,6 +28,7 @@ from asdist import (
     subgroup_count_poly,
     zeta_factor_rational,
 )
+from asdist import dirichlet
 from asdist.dirichlet import (
     RationalFunctionT, _euler_factor_component, poly_mul, prime_term,
 )
@@ -131,7 +132,7 @@ def test_conductor_series_at_the_order_ceiling():
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def test_conductor_series_holds_one_euler_factor_at_a_time():
+def test_conductor_series_holds_one_euler_factor_at_a_time(monkeypatch):
     # q = 2, C_2 to order 320 has 160 Euler factors A/B; they arrive as a
     # generator, so one prime's monomials are alive at a time and the peak
     # is the kernel's few lists of order + 1 coefficients
@@ -143,6 +144,28 @@ def test_conductor_series_holds_one_euler_factor_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 200_000
+    # monomial factors are so small that a list of all 160 primes' factors
+    # also fits that bound, so check the generator itself: no prime's factor
+    # is built before the kernel draws the first one
+    expected = euler_component_series(Q2, C2, 1, 320)
+    built, drawn = [], []
+    component, kernel = dirichlet._euler_factor_component, dirichlet.euler_product
+
+    def counting_component(*args):
+        built.append(args)
+        return component(*args)
+
+    def spy(factors, order):
+        assert not isinstance(factors, (list, tuple))
+        factors = iter(factors)
+        first = next(factors)
+        drawn.append(len(built))
+        return kernel(chain([first], factors), order)
+
+    monkeypatch.setattr(dirichlet, "_euler_factor_component", counting_component)
+    monkeypatch.setattr(dirichlet, "euler_product", spy)
+    assert euler_component_series(Q2, C2, 1, 320) == expected
+    assert drawn == [1] and len(built) == 160
 
 
 def test_conductor_series_genus2_needs_exceptional_counts():

@@ -9,8 +9,7 @@ from asdist import (
     make_field_model,
     rational_field,
 )
-from asdist.field import mobius
-from reference_impl import zeta_series
+from reference_impl import mobius, newton_power_sums, zeta_series
 
 ELLIPTIC_A = dict(p=2, q=2, genus=1, l_poly=[1, 0, 2], clp_order=1)
 ELLIPTIC_B = dict(p=2, q=2, genus=1, l_poly=[1, -1, 2], clp_order=2)
@@ -57,6 +56,36 @@ def test_genus0_place_counts_match_irreducible_counts(q):
     assert b[0] == q + 1  # monic linears plus the infinite place
     for d in range(2, 6):
         assert b[d - 1] == _monic_irreducible_count(q, d)
+
+
+@pytest.mark.parametrize(
+    "p, q, genus, l_poly",
+    [(2, 2, 0, [1]), (3, 3, 0, [1]),
+     (2, 2, 1, [1, 0, 2]), (2, 2, 1, [1, -1, 2]), (3, 3, 1, [1, 1, 3]),
+     (3, 3, 1, [1, 0, 3]),  # no linear term: L's factor has stride 2
+     (2, 2, 2, [1, -2, 4, -4, 4]), (2, 2, 2, [1, 0, 0, 0, 4])],
+    ids=["q2", "q3", "1,0,2", "1,-1,2", "1,1,3", "1,0,3",
+         "1,-2,4,-4,4", "1,0,0,0,4"],
+)
+def test_counts_match_newton_and_mobius(p, q, genus, l_poly):
+    # N_d = q^d + 1 - s_d by Newton's identities, and d b_d their Moebius sum
+    model = make_field_model(p, q, genus, l_poly)
+    depth = 60
+    s = newton_power_sums(model, depth)
+    points = [q**d + 1 - s[d] for d in range(depth + 1)]
+    assert model.point_counts(depth)[1:] == points[1:]
+    places = []
+    for d in range(1, depth + 1):
+        total = sum(mobius(e) * points[d // e] for e in range(1, d + 1) if d % e == 0)
+        assert total % d == 0
+        places.append(total // d)
+    assert model.place_counts(depth) == places
+
+
+@pytest.mark.parametrize("model", [rational_field(3), make_field_model(**ELLIPTIC_A)],
+                         ids=["genus0", "genus1"])
+def test_place_counts_below_depth_one_are_empty(model):
+    assert model.place_counts(0) == model.place_counts(-2) == []
 
 
 def test_place_counts_q2_explicit():

@@ -11,7 +11,7 @@ from asdist import (
     rational_field,
     subgroup_count_poly,
 )
-from asdist.series import euler_product, mul
+from asdist.series import euler_product, log_derivative, mul
 from reference_impl import dense_euler_product, geometric, substitute
 
 
@@ -184,7 +184,9 @@ def _product(factors, order):
     return out
 
 
-def test_euler_product_matches_schoolbook_on_random_factors():
+def _random_factors():
+    """150 draws of (order, dense factors): constant terms +-1, exponents
+    -5..5 and +-10^9, with the schoolbook product of the factors."""
     rng = random.Random(1978)
     for _ in range(150):
         order = rng.randint(0, 12)
@@ -198,7 +200,25 @@ def test_euler_product_matches_schoolbook_on_random_factors():
         for f, e in factors:
             power = _schoolbook_power(f, e, order)
             expected = _schoolbook_mul(expected, power, order)
+        yield order, factors, expected
+
+
+def test_euler_product_matches_schoolbook_on_random_factors():
+    for order, factors, expected in _random_factors():
         assert _product(factors, order) == expected
+
+
+def test_log_derivative_is_t_p_prime_over_p_on_random_factors():
+    for order, factors, product in _random_factors():
+        # tP'/P by long division, P h = tP', with P_0 = +-1
+        h = []
+        for n in range(order + 1):
+            h.append(product[0] * (n * product[n] - sum(
+                product[k] * h[n - k] for k in range(1, n + 1))))
+        # tF'/F does not see F's constant, so each F is divided by it (+-1)
+        monomials = [([(k, x * f[0]) for k, x in enumerate(f) if k and x], e)
+                     for f, e in factors]
+        assert log_derivative(monomials, order) == h
 
 
 def test_pow_scales_out_non_unit_constants():
