@@ -55,26 +55,6 @@ class DivisorModule:
     def degree(self) -> int:
         return sum(place.degree * mult for place, mult in self.entries)
 
-    @property
-    def is_trivial(self) -> bool:
-        return not self.entries
-
-    def support(self) -> tuple:
-        return tuple(place for place, _ in self.entries)
-
-    def is_squarefree(self) -> bool:
-        return all(mult == 1 for _, mult in self.entries)
-
-    def mobius(self) -> int:
-        if not self.is_squarefree():
-            return 0
-        return (-1) ** len(self.entries)
-
-    def restrict(self, keep) -> "DivisorModule":
-        return DivisorModule(
-            tuple((p, m) for p, m in self.entries if keep(p, m))
-        )
-
     def __repr__(self):
         if not self.entries:
             return "DivisorModule(1)"
@@ -113,12 +93,10 @@ def subgroup_count_poly(p: int, r: int) -> GroupSpec:
 
 
 def wild_exponent(m: int, p: int) -> int:
-    """r_m = m - 1 - floor((m-1)/p) for m >= 1, and r_0 = 0; the p-rank per
-    unit residue degree of the local unit filtration quotient."""
+    """r_m = m - 1 - floor((m-1)/p), so r_0 = 0; the p-rank per unit residue
+    degree of the local unit filtration quotient."""
     if m < 0:
         raise ValueError("exponent index must be nonnegative")
-    if m == 0:
-        return 0
     return m - 1 - (m - 1) // p
 
 
@@ -126,7 +104,7 @@ def exceptional_modules(model: FieldModel) -> frozenset:
     """The finite set M: the trivial module plus, for genus >= 2, all
     squareful modules supported on primes of degree <= 2g-2 with
     multiplicities <= 2g."""
-    places = abstract_places(model, max(2 * model.genus - 2, 0))
+    places = abstract_places(model, 2 * model.genus - 2)
     multiplicities = [0, *range(2, 2 * model.genus + 1)]
     return frozenset(
         DivisorModule(tuple((p, m) for p, m in zip(places, mults) if m))
@@ -136,12 +114,11 @@ def exceptional_modules(model: FieldModel) -> frozenset:
 
 def _is_exceptional(model: FieldModel, module: DivisorModule) -> bool:
     """Whether the module has the shape of `exceptional_modules(model)`:
-    trivial, or for genus >= 2 multiplicities in 2..2g on places of degree
-    <= 2g - 2.  Read off the module, so any labelling of the places works."""
-    if module.is_trivial:
-        return True
+    multiplicities in 2..2g on places of degree <= 2g - 2, which holds for
+    the trivial module and for no other below genus 2.  Read off the module,
+    so any labelling of the places works."""
     genus = model.genus
-    return genus >= 2 and all(
+    return all(
         2 <= mult <= 2 * genus and place.degree <= 2 * genus - 2
         for place, mult in module.entries
     )
@@ -149,10 +126,10 @@ def _is_exceptional(model: FieldModel, module: DivisorModule) -> bool:
 
 def product_count(model: FieldModel, group: GroupSpec, module: DivisorModule) -> Fraction:
     """The multiplicative (Selmer-free) count
-    sum_i e_i prod_{p^m || m} (N^{i r_m} - N^{i r_{m-1}})."""
+    sum_(i=0..r) e_i prod_{p^m || m} (N^{i r_m} - N^{i r_{m-1}}).  The i = 0
+    term is e_0 at the trivial module and 0 at any other."""
     total = Fraction(0)
-    for i in range(1, group.r + 1):
-        term = group.e_coeffs[i]
+    for i, term in enumerate(group.e_coeffs):
         for place, mult in module.entries:
             n = model.q**place.degree
             term *= n ** (i * wild_exponent(mult, model.p)) - n ** (
@@ -166,14 +143,11 @@ def exceptional_correction(
     model: FieldModel, group: GroupSpec, module: DivisorModule
 ) -> Fraction:
     """c~(m0), the correction of an exceptional module m0 that both
-    `conductor_count` and the series' error term add: e(|Cl[p]|) - sum_i e_i
-    for the trivial module, otherwise the count of m0 supplied with the
-    model minus `product_count`."""
-    if module.is_trivial:
-        return group.quotient_count(model.clp_order) - sum(
-            group.e_coeffs, Fraction(0)
-        )
+    `conductor_count` and the series' error term add: the count of m0 minus
+    `product_count`.  The count of the trivial module is e(|Cl[p]|); any
+    other comes with the model."""
     counts = model.exceptional_count_map()
+    counts[DivisorModule.trivial()] = group.quotient_count(model.clp_order)
     if module not in counts:
         raise UnsupportedInputError(
             f"missing exceptional conductor count for {module}; counts are "
@@ -190,15 +164,14 @@ def _as_nonneg_int(value: Fraction, context: str) -> int:
 
 
 def conductor_count(model: FieldModel, group: GroupSpec, module: DivisorModule) -> int:
-    """Number of C_p^r-extensions with the given conductor."""
+    """Number of C_p^r-extensions with the given conductor m: the product
+    count, plus mu(m1) c~(m0) when m = m0 m1^2 with m0 exceptional and m1
+    squarefree on places of degree > 2g - 2.  The trivial module is
+    m0 = m1 = 1, where the count is e(|Cl[p]|)."""
     if group.p != model.p:
         raise ModelError("group exponent must equal the field characteristic")
-    if module.is_trivial:
-        return _as_nonneg_int(
-            group.quotient_count(model.clp_order), "trivial conductor"
-        )
-    used = Counter(place.degree for place in module.support())
-    available = model.place_counts(max(used))
+    used = Counter(place.degree for place, _ in module.entries)
+    available = model.place_counts(max(used, default=0))
     for d, n in used.items():
         if n > available[d - 1]:
             raise ModelError(
@@ -206,18 +179,14 @@ def conductor_count(model: FieldModel, group: GroupSpec, module: DivisorModule) 
                 f"field has {available[d - 1]}"
             )
     threshold = 2 * model.genus - 2
-    small = module.restrict(lambda p, m: p.degree <= threshold)
-    large = module.restrict(lambda p, m: p.degree > threshold)
-    if _is_exceptional(model, small) and all(m == 2 for _, m in large.entries):
-        # m = m0 * m1^2 with m0 in the exceptional set, m1 squarefree on
-        # large-degree primes.
-        m1 = DivisorModule(tuple((p, 1) for p, _ in large.entries))
-        c_tilde = exceptional_correction(model, group, small)
-        value = m1.mobius() * c_tilde + product_count(model, group, module)
-        return _as_nonneg_int(value, f"conductor {module}")
-    return _as_nonneg_int(
-        product_count(model, group, module), f"conductor {module}"
+    small = DivisorModule(
+        tuple((p, m) for p, m in module.entries if p.degree <= threshold)
     )
+    large = [m for p, m in module.entries if p.degree > threshold]
+    value = product_count(model, group, module)
+    if _is_exceptional(model, small) and all(m == 2 for m in large):
+        value += (-1) ** len(large) * exceptional_correction(model, group, small)
+    return _as_nonneg_int(value, f"conductor {module}")
 
 
 def abstract_places(model: FieldModel, max_degree: int) -> list:

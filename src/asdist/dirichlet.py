@@ -96,8 +96,8 @@ def euler_component_series(
 def error_term_series(model: FieldModel, group: GroupSpec, order: int) -> TruncatedSeries:
     """Rational error term of the decomposition: the part of the series the
     Euler components miss, driven by the finitely many exceptional modules."""
-    # the trivial module contributes c_1 - sum_i e_i directly; the Moebius
-    # sum below re-adds its c~ term, so the standalone constant reduces to e_0
+    # e_0 is the i = 0 component, whose Euler product is 1; the trivial
+    # module's c~ = e(|Cl[p]|) - e(1) comes with the exceptional sum below
     const = group.e_coeffs[0]
     # restricted product over primes of degree > 2g-2 of (1 - N^{-2s})
     # = zeta(2s)^{-1} = (1 - t^2)(1 - q t^2) / L(t^2), corrected by the

@@ -118,8 +118,8 @@ def make_field_model(
 
     Checks: q is a power of the prime p, the L-polynomial satisfies the
     functional equation, derived place counts are nonnegative integers, and
-    |Cl[p]| is a p-power dividing L(1) and at most p^genus.  Genus 0 forces
-    L = 1 and trivial class group.
+    |Cl[p]| is a p-power dividing L(1) and at most p^genus, and equal to p
+    at genus 1 when p divides L(1).  L defaults to 1 at genus 0.
     """
     if not is_prime(p):
         raise ModelError(f"{p} is not prime")
@@ -127,11 +127,7 @@ def make_field_model(
         raise ModelError(f"q = {q} is not a power of p = {p}")
     if genus < 0:
         raise ModelError("genus must be nonnegative")
-    if genus == 0:
-        if l_poly is not None and list(l_poly) != [1]:
-            raise ModelError("genus 0 forces the L-polynomial to be 1")
-        if clp_order != 1:
-            raise ModelError("genus 0 forces a trivial class group")
+    if l_poly is None and genus == 0:
         l_poly = [1]
     if l_poly is None:
         raise ModelError("an L-polynomial is required for genus >= 1")
@@ -160,6 +156,13 @@ def make_field_model(
         exc = frozenset((m, int(c)) for m, c in dict(exceptional_counts).items())
     model = FieldModel(p, q, genus, tuple(coeffs), clp_order, exc)
     model.place_counts(max(VALIDATION_DEPTH, 2 * genus + 2))
+    # Cl^0 of genus 1 is E(F_q), whose p-part is cyclic, so |Cl[p]| = p
+    # exactly when p | L(1) = |E(F_q)| (Silverman, AEC III.6.4 and V.3.1)
+    if genus == 1 and class_number % p == 0 and clp_order != p:
+        raise ModelError(
+            f"genus 1 with p = {p} dividing L(1) = {class_number} "
+            f"forces clp_order {p}, got {clp_order}"
+        )
     return model
 
 

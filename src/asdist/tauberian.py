@@ -230,11 +230,14 @@ def predict_partial_sums(model: MeromorphicModel, m: int) -> AsymptoticEstimate:
     with mpmath.workprec(PREC_BITS):
         b = model.pole_order
         ell = model.root_count
-        xi = mpmath.exp(2j * mpmath.pi / ell)
         s, magnitude = mpmath.mpc(0), mpmath.mpf(0)
         for j, p_j in model.principal_coeffs.items():
-            u = model.radius * xi ** (-j)
-            term = (-u) ** (-b) * p_j * xi ** (j * m) / (1 - u)
+            # u = R xi^(-j) and the phase xi^(j m), xi = exp(2 pi i / ell),
+            # as exact fractions of a turn: a power of a rounded xi loses
+            # the working bits once j m approaches ell^2
+            u = model.radius * mpmath.expjpi(mpmath.mpf(-2 * j) / ell)
+            phase = mpmath.expjpi(mpmath.mpf(2 * (j * m % ell)) / ell)
+            term = (-u) ** (-b) * p_j * phase / (1 - u)
             s += term
             magnitude += abs(term)
         s = _imag_guard(s, magnitude) / mpmath.factorial(b - 1)

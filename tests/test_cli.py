@@ -58,15 +58,15 @@ PINNED = {
         'n\tvalue\nabscissa\t1\nlog_order\t2\nprogression\t6\n',
     ),
     "constant --q 3 --p 3": (
-        'closed-form 0.199338283520328, tauberian 0.19933828 (delta 4.68e-60)\n',
+        'closed-form 0.199338283520328, tauberian 0.19933828 (delta 7.8e-61)\n',
         ('{"command":"constant","data":[{"closed_form":"0.19933828352",'
-         '"delta":"4.6827547383e-60","exponent":1,"log_order":2,'
+         '"delta":"7.8045912305e-61","exponent":1,"log_order":2,'
          '"tauberian":"0.19933828352"}],"group":{"p":3,"r":1},'
          '"meta":{"degree_cutoff":41,"order":null,"precision_bits":200},'
          '"model":{"class_number":1,"clp_order":1,"genus":0,'
          '"l_poly":[1],"p":3,"q":3}}\n'),
         ('n\tvalue\ntauberian\t0.19933828352\nlog_order\t2\nexponent\t1\n'
-         'closed_form\t0.19933828352\ndelta\t4.6827547383e-60\n'),
+         'closed_form\t0.19933828352\ndelta\t7.8045912305e-61\n'),
     ),
     "oracle --q 2 --p 2 --bound 4": (
         'oracle counts 1,0,6,0,24\n',

@@ -181,7 +181,7 @@ def test_conductor_series_genus2_matches_per_module_counts():
     modules = exceptional_modules(plain)
     assert len(modules) == 256
     supplied = {m: product_count(plain, C2, m) + 1
-                for m in modules if not m.is_trivial}
+                for m in modules if m.entries}
     model = make_field_model(2, 2, 2, [1, 0, 0, 0, 4],
                              exceptional_counts=supplied)
     order = 8

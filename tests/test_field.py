@@ -1,4 +1,5 @@
 """Field models: validation, place counts, zeta series, residues."""
+import math
 from fractions import Fraction
 
 import pytest
@@ -59,17 +60,17 @@ def test_genus0_place_counts_match_irreducible_counts(q):
 
 
 @pytest.mark.parametrize(
-    "p, q, genus, l_poly",
-    [(2, 2, 0, [1]), (3, 3, 0, [1]),
-     (2, 2, 1, [1, 0, 2]), (2, 2, 1, [1, -1, 2]), (3, 3, 1, [1, 1, 3]),
-     (3, 3, 1, [1, 0, 3]),  # no linear term: L's factor has stride 2
-     (2, 2, 2, [1, -2, 4, -4, 4]), (2, 2, 2, [1, 0, 0, 0, 4])],
+    "p, q, genus, l_poly, clp",
+    [(2, 2, 0, [1], 1), (3, 3, 0, [1], 1),
+     (2, 2, 1, [1, 0, 2], 1), (2, 2, 1, [1, -1, 2], 2), (3, 3, 1, [1, 1, 3], 1),
+     (3, 3, 1, [1, 0, 3], 1),  # no linear term: L's factor has stride 2
+     (2, 2, 2, [1, -2, 4, -4, 4], 1), (2, 2, 2, [1, 0, 0, 0, 4], 1)],
     ids=["q2", "q3", "1,0,2", "1,-1,2", "1,1,3", "1,0,3",
          "1,-2,4,-4,4", "1,0,0,0,4"],
 )
-def test_counts_match_newton_and_mobius(p, q, genus, l_poly):
+def test_counts_match_newton_and_mobius(p, q, genus, l_poly, clp):
     # N_d = q^d + 1 - s_d by Newton's identities, and d b_d their Moebius sum
-    model = make_field_model(p, q, genus, l_poly)
+    model = make_field_model(p, q, genus, l_poly, clp)
     depth = 60
     s = newton_power_sums(model, depth)
     points = [q**d + 1 - s[d] for d in range(depth + 1)]
@@ -151,9 +152,9 @@ def test_validation_errors():
     with pytest.raises(ModelError):
         make_field_model(2, 2, 1, [1, 0, 3])  # functional equation fails
     with pytest.raises(ModelError):
-        make_field_model(2, 2, 0, [1, 1, 2])  # genus 0 forces L = 1
+        make_field_model(2, 2, 0, [1, 1, 2])  # L has degree 0 at genus 0
     with pytest.raises(ModelError):
-        make_field_model(2, 2, 0, clp_order=2)  # genus 0 forces trivial Cl
+        make_field_model(2, 2, 0, clp_order=2)  # above p^genus = 1
     with pytest.raises(ModelError):
         make_field_model(2, 2, 1, [1, 0, 2], clp_order=3)  # not a 2-power
     with pytest.raises(ModelError):
@@ -169,3 +170,16 @@ def test_clp_order_must_divide_class_number_and_fit_p_rank():
     with pytest.raises(ModelError):
         make_field_model(2, 2, 1, [1, 0, 2], clp_order=4)
     assert make_field_model(2, 4, 1, [1, -1, 4], clp_order=2).clp_order == 2
+
+
+@pytest.mark.parametrize("q, p", [(2, 2), (3, 3), (4, 2)])
+def test_genus1_clp_order_is_p_exactly_when_p_divides_class_number(q, p):
+    # Cl^0 = E(F_q) has cyclic p-part, so |Cl[p]| = p exactly when p | L(1).
+    # Every trace within the Hasse bound, which covers the genus-1 models
+    # of the benchmark's reference tests.
+    bound = math.isqrt(4 * q)
+    for a in range(-bound, bound + 1):
+        clp = p if (1 + a + q) % p == 0 else 1
+        assert make_field_model(p, q, 1, [1, a, q], clp).clp_order == clp
+        with pytest.raises(ModelError):
+            make_field_model(p, q, 1, [1, a, q], p + 1 - clp)

@@ -338,6 +338,17 @@ def test_cross_path_constants_q19():
     assert abs(generic.constant - closed.constant) / closed.constant < 1e-12
 
 
+@pytest.mark.parametrize("p", [61, 67, 71, 101])
+def test_cross_path_constants_hold_at_large_p(p):
+    # the pole and its phase at j = ell are exact fractions of a turn; a
+    # power of a rounded root of unity lost the working bits once
+    # j m = ell^2 grew past them (p = 67 gave a wrong value, p = 71 raised)
+    field, group = rational_field(p), subgroup_count_poly(p, 1)
+    closed = closed_form_constant(field, group)
+    generic = tauberian_constant(field, group)
+    assert abs(generic.constant - closed.constant) / closed.constant < 1e-50
+
+
 def test_tauberian_constant_memory_does_not_grow_with_ell():
     # ell = 360,360 at p = 13; data held per lattice point would take
     # tens of MB, the one pole of maximal order a few KB
