@@ -10,8 +10,9 @@ precision.  A field beyond F_q(x) is given by its invariants,
 `--genus/--l-poly/--clp-order`.  Exit codes: 0 success, 1 compare mismatch,
 2 invalid input, 3 internal consistency failure.  Invalid input includes a
 `q` that is not a power of `p` (for every command), an `--l-poly` entry
-that is not an integer, an `--r` above 64, and a `--bound` or a
-`conductor --module` degree above the `--order` ceiling.
+that is not an integer, an `--r` above 64, a `--p` above 128, a `--bound`
+or a `conductor --module` degree above the `--order` ceiling, and `poles
+--format json` at a lattice of more than 10**6 angles (p >= 17 at r = 1).
 """
 from __future__ import annotations
 
@@ -53,6 +54,13 @@ from .tauberian import closed_form_constant, tauberian_constant
 # 0.13 s)
 MAX_ORDER = 2000
 MAX_RANK = 64
+# the characteristic's ceiling: an admitted p gives at most 2 (p - 1) = 252
+# binomials in the zeta factor, and constant --q 127 --p 127 takes up to
+# about 21 s (at --r 64, the slowest of r = 1, 2, 3 and 64; 2-vCPU VM)
+MAX_P = 128
+# poles --format json lists every one of the ell lattice angles; at p = 17
+# (ell = 12,252,240) it wrote 205 MB, so a larger lattice exits 2
+MAX_JSON_ANGLES = 10**6
 
 _FLOAT_DIGITS = 12
 
@@ -167,6 +175,9 @@ def cmd_poles(args) -> int:
     subgroup_count_poly(args.p, args.r)  # validates r
     report = pole_analysis(args.p, args.r)
     ell = report.progression
+    if args.format == "json" and ell > MAX_JSON_ANGLES:
+        raise ValueError(f"--format json lists all ell = {ell} lattice angles, "
+                         f"at most {MAX_JSON_ANGLES}; use text or tsv")
     angles = (Fraction(j, ell) for j in range(ell))  # built only for JSON
     return _emit(args, [{**asdict(report), "pole_angles": angles}],
                  [("abscissa", report.abscissa),
@@ -308,7 +319,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         for flag, ceiling in (("order", MAX_ORDER), ("bound", MAX_ORDER),
-                              ("r", MAX_RANK)):
+                              ("r", MAX_RANK), ("p", MAX_P)):
             value = getattr(args, flag, 0)  # 0 where a command lacks the flag
             if value > ceiling:
                 raise ValueError(f"--{flag} must be <= {ceiling}, got {value}")

@@ -3,7 +3,9 @@
 All Dirichlet series live as truncated power series in t = q^{-s}; the
 meromorphic zeta factor is kept as an exact rational function in t so its
 poles are available exactly.  A term N^{u - v s} of a prime of degree d
-contributes q^{d u} t^{d v}; `prime_term` owns that mapping.
+contributes q^{d u} t^{d v}; `prime_term` owns that mapping for the exact
+series, and `holomorphic_factor_value` forms the holomorphic factor's
+monomials in floating point.
 """
 from __future__ import annotations
 
@@ -185,15 +187,11 @@ def zeta_factor_rational(model: FieldModel, p: int, r: int) -> RationalFunctionT
     return RationalFunctionT(tuple(num), tuple(den))
 
 
-def _holomorphic_factor_terms(q: int, d: int, p: int, r: int):
-    """The (t-power, coefficient) monomials m of the per-prime holomorphic
-    factor (1 + sum m) * prod (1 - m), in increasing t-power."""
-    return [prime_term(q, d, l * r, l + 1) for l in range(p - 1)]
-
-
 def holomorphic_factor_value(model: FieldModel, p: int, r: int, point, degree_cutoff: int):
     """Numeric value of the holomorphic factor at a point inside its region
-    of convergence, via the Euler product over primes of degree <= cutoff."""
+    of convergence, via the Euler product over primes of degree <= cutoff.
+    A prime of degree d contributes (1 + sum m_l) * prod (1 - m_l) with the
+    monomials m_l = N^(l r) t^(d (l + 1)), N = q^d, l = 0..p-2."""
     if degree_cutoff < 1:
         raise ValueError("degree cutoff must be >= 1")
     counts = model.place_counts(degree_cutoff)
@@ -202,37 +200,33 @@ def holomorphic_factor_value(model: FieldModel, p: int, r: int, point, degree_cu
     with mpmath.workprec(PREC_BITS + max(counts).bit_length()):
         z = mpmath.mpmathify(point)
         z_d, total = 1, mpmath.mpf(1)
-        for d in range(1, degree_cutoff + 1):
+        for d, b_d in enumerate(counts, start=1):
             z_d *= z
-            b_d = counts[d - 1]
-            if b_d == 0:
-                continue
-            # the t-powers are d (l + 1) for l = 0, 1, ...: z_d, z_d^2, ...
-            monomials, z_power = [], 1
-            for _, coeff in _holomorphic_factor_terms(model.q, d, p, r):
-                z_power *= z_d
-                monomials.append(coeff * z_power)
-            factor = mpmath.mpf(1)
-            for m in monomials:
-                factor += m
+            # m_(l+1) = m_l * q^(d r) t^d in floats: the exact N^(l r) runs
+            # to tens of thousands of digits at large p
+            step, monomials = model.q ** (d * r) * z_d, [z_d]
+            for _ in range(p - 2):
+                monomials.append(monomials[-1] * step)
+            factor = sum(monomials, mpmath.mpf(1))
             for m in monomials:
                 factor *= 1 - m
             total *= factor**b_d
         return total
 
 
-def _tail_bound(model: FieldModel, p: int, r: int) -> tuple:
-    """(scale, ratio): past a degree cutoff n, the primes' share of the
-    holomorphic factor's Euler product has a log of size at most
-    scale * ratio^(n + 1) anywhere on |t| = q^(-a).  The log of a prime's
-    factor is at most 2 per_factor N^(-tau) in size, tau = 2 (r + p - 1) / p
-    >= 2, and there are at most (2 + 2g) q^d primes of degree d, so the
-    ratio q^(1 - tau) of the geometric tail is <= 1/q."""
+def _tail_bound(model: FieldModel, p: int, r: int, degree_cutoff: int):
+    """The relative tail bound past a degree cutoff n: the primes of degree
+    > n multiply the holomorphic factor's Euler product by a factor within
+    expm1(scale * ratio^(n + 1)) of 1 anywhere on |t| = q^(-a).  The log
+    of a prime's factor is at most 2 per_factor N^(-tau) in size, tau =
+    2 (r + p - 1) / p >= 2, and there are at most (2 + 2g) q^d primes of
+    degree d, so the ratio q^(1 - tau) of the geometric tail is <= 1/q."""
     per_factor = (p - 1) ** 2 + 2 ** (p - 1) + p
     place_bound = 2 + 2 * model.genus
     tau = mpmath.mpf(2 * (r + p - 1)) / p
     ratio = mpmath.mpf(model.q) ** (1 - tau)
-    return 2 * per_factor * place_bound / (1 - ratio), ratio
+    scale = 2 * per_factor * place_bound / (1 - ratio)
+    return mpmath.expm1(scale * ratio ** (degree_cutoff + 1))
 
 
 def holomorphic_factor_at_abscissa(model: FieldModel, p: int, r: int, degree_cutoff: int):
@@ -244,18 +238,15 @@ def holomorphic_factor_at_abscissa(model: FieldModel, p: int, r: int, degree_cut
         q = mpmath.mpf(model.q)
         point = q ** (-mpmath.mpf(a.numerator) / a.denominator)
         total = holomorphic_factor_value(model, p, r, point, degree_cutoff)
-        scale, ratio = _tail_bound(model, p, r)
-        bound = abs(total) * mpmath.expm1(scale * ratio ** (degree_cutoff + 1))
-        return total, bound
+        return total, abs(total) * _tail_bound(model, p, r, degree_cutoff)
 
 
 def holomorphic_factor_cutoff(model: FieldModel, p: int, r: int) -> int:
     """The least degree cutoff whose tail bound (as in
     `holomorphic_factor_at_abscissa`) is below 2^-60 of the product.  The
     bound depends only on |t|, so it holds at every pole on the circle."""
-    scale, ratio = _tail_bound(model, p, r)
     cutoff = 1
-    while mpmath.expm1(scale * ratio ** (cutoff + 1)) >= mpmath.mpf(2) ** -60:
+    while _tail_bound(model, p, r, cutoff) >= mpmath.mpf(2) ** -60:
         cutoff += 1
     return cutoff
 

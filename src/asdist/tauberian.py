@@ -172,7 +172,8 @@ def zeta_factor_poles(model: FieldModel, p: int, r: int, correction) -> Meromorp
     """`principal_parts(zeta_factor_rational(model, p, r), correction)`,
     read off the binomials 1 - q^e t^l of the denominator: no factorisation
     and no root finding.  It visits only the j where some binomial
-    vanishes and keeps the poles of maximal order, in increasing j.
+    vanishes and keeps the poles of maximal order, in increasing j.  It
+    leaves the exact fields `radius_exact` and `principal_exact` None.
 
     The poles on the circle |t| = R = q^(-a) sit among z_j = R xi^(-j),
     xi = exp(2 pi i / ell), and `critical_poles` gives a, ell and the
@@ -188,9 +189,6 @@ def zeta_factor_poles(model: FieldModel, p: int, r: int, correction) -> Meromorp
     order = max(map(len, vanishing.values()))
     with mpmath.workprec(PREC_BITS):
         radius = mpmath.mpf(q) ** (-mpmath.mpf(a.numerator) / a.denominator)
-        root = int(mpmath.nint(1 / radius))
-        exact = root**a.denominator == q**a.numerator
-        radius_exact = Fraction(1, root) if exact else None
         l_coeffs = list(reversed(model.l_poly))
         coeffs: dict = {}
         for j, zeros in sorted(vanishing.items()):
@@ -208,7 +206,7 @@ def zeta_factor_poles(model: FieldModel, p: int, r: int, correction) -> Meromorp
             for l, e in binomials:
                 denom *= l if (l, e) in zeros else 1 - q**e * z**l
             coeffs[j] = (-z) ** order * numer / denom * correction(z)
-        return MeromorphicModel(radius, radius_exact, order, ell, coeffs, None)
+        return MeromorphicModel(radius, None, order, ell, coeffs, None)
 
 
 def _imag_guard(value, magnitude):

@@ -74,6 +74,11 @@ one:
   and test_factorization_identity, and test_acceptance's
   test_criterion_1_closed_form_p2, test_criterion_3_factorization_identity
   and test_criterion_9_growth_proxy.
+- `_holomorphic_factor_terms` (`asdist.dirichlet._holomorphic_factor_terms`),
+  the exact monomials N^(l r) t^(d (l + 1)) of a prime's holomorphic
+  factor: `holomorphic_factor_series` and `euler_factor_closed_form_check`.
+  `holomorphic_factor_value` forms the same monomials in floating point on
+  its own, so the two derive them independently.
 - `holomorphic_factor_series`: test_acceptance's
   test_criterion_3_factorization_identity and test_dirichlet's
   test_holomorphic_factor_p2_is_inverse_zeta, test_factorization_identity
@@ -111,11 +116,7 @@ from typing import Iterator
 import mpmath
 
 from asdist.counting import DivisorModule, Place, abstract_places, wild_exponent
-from asdist.dirichlet import (
-    RationalFunctionT,
-    _holomorphic_factor_terms,
-    prime_term,
-)
+from asdist.dirichlet import RationalFunctionT, prime_term
 from asdist.field import FieldModel
 from asdist.oracle import (
     ASRep, _place_key, irreducibles_up_to, poly_divmod, poly_mod, poly_trim,
@@ -516,6 +517,12 @@ def geometric(ratio: Scalar, order: int) -> TruncatedSeries:
         cs.append(acc)
         acc *= ratio
     return TruncatedSeries(tuple(cs))
+
+
+def _holomorphic_factor_terms(q: int, d: int, p: int, r: int):
+    """The (t-power, coefficient) monomials m of the per-prime holomorphic
+    factor (1 + sum m) * prod (1 - m), in increasing t-power."""
+    return [prime_term(q, d, l * r, l + 1) for l in range(p - 1)]
 
 
 def holomorphic_factor_series(

@@ -272,6 +272,8 @@ def test_impossible_models_and_modules_exit_2(capsys):
         ["series", "--q", "2", "--p", "2", "--r", "65"],
         ["oracle", "--q", "2", "--p", "2", "--bound", "100000"],
         ["compare", "--q", "2", "--p", "2", "--bound", "100000"],
+        ["constant", "--q", "131", "--p", "131"],
+        ["poles", "--q", "100000000000031", "--p", "100000000000031"],
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
@@ -328,6 +330,15 @@ def test_poles_text_and_tsv_at_p17_run_at_once():
                             timeout=5)
         assert proc.returncode == 0, proc.stderr
         assert "12252240" in proc.stdout
+
+
+def test_poles_json_at_p17_exits_2_at_once():
+    # JSON lists every lattice angle: at p = 17 it once wrote 205 MB in
+    # 22 s and peaked at 1.3 GB
+    proc = _cli_process("poles", "--q", "17", "--p", "17", "--format", "json",
+                        timeout=5, address_space=1 << 30)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert "ell = 12252240" in proc.stderr
 
 
 def test_census_below_bound_2_builds_no_constant_field():

@@ -274,16 +274,20 @@ def test_holomorphic_factor_at_abscissa_p2():
 
 
 def test_holomorphic_factor_at_abscissa_r1_reduction():
-    # for r = 1 the per-prime factor is (1 + (p-1)/N) (1 - 1/N)^{p-1}
-    p, cutoff = 3, 12
-    model = Q3
-    value, bound = holomorphic_factor_at_abscissa(model, p, 1, cutoff)
-    with mpmath.workprec(200):
-        direct = mpmath.mpf(1)
-        for d, b_d in enumerate(model.place_counts(cutoff), start=1):
-            n = mpmath.mpf(model.q) ** d
-            direct *= ((1 + (p - 1) / n) * (1 - 1 / n) ** (p - 1)) ** b_d
-        assert abs(value - direct) < mpmath.mpf(2) ** -150
+    # for r = 1 the per-prime factor is (1 + (p-1)/N) (1 - 1/N)^{p-1}; at
+    # p = 101 the evaluator's monomial recurrence runs 100 steps a degree
+    cutoff = 12
+    for p in (3, 31, 101):
+        model = rational_field(p)
+        value, bound = holomorphic_factor_at_abscissa(model, p, 1, cutoff)
+        counts = model.place_counts(cutoff)
+        # (...)^b_d multiplies the rounding error by b_d, so carry its bits
+        with mpmath.workprec(200 + max(counts).bit_length()):
+            direct = mpmath.mpf(1)
+            for d, b_d in enumerate(counts, start=1):
+                n = mpmath.mpf(model.q) ** d
+                direct *= ((1 + (p - 1) / n) * (1 - 1 / n) ** (p - 1)) ** b_d
+            assert abs(value - direct) < mpmath.mpf(2) ** -150, p
 
 
 def test_holomorphic_factor_cutoff_self_consistency():
@@ -293,15 +297,25 @@ def test_holomorphic_factor_cutoff_self_consistency():
 
 
 def test_holomorphic_factor_value_matches_series():
-    # the second point is complex, as at the Tauberian poles for r >= 2
-    # and for p = 2
-    points = [mpmath.mpf("0.05"), mpmath.mpf("0.05") * mpmath.expjpi(mpmath.mpf(2) / 3)]
-    for (p, r, model), point in product([(2, 1, Q2), (3, 1, Q3), (3, 2, Q3)], points):
-        series = holomorphic_factor_series(model, p, r, 30)
-        coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in series.coeffs]
-        via_series = mpmath.polyval(coeffs[::-1], point)
-        via_product = holomorphic_factor_value(model, p, r, point, 30)
-        assert abs(via_series - via_product) < 1e-12
+    # the exact series takes its monomials from the reference's
+    # `_holomorphic_factor_terms`, the evaluator from its own recurrence.
+    # The points sit at |t| = q^(-a)/2, real and rotated by 2 pi/3 (complex,
+    # as at the Tauberian poles for r >= 2 and for p = 2).  H converges
+    # past |t| = q^(-a), and its coefficients c_n stay below q^(a n) (up to
+    # order 30 the largest c_n q^(-a n) is c_0 = 1), so the terms past
+    # order 30 add at most sum_(n > 30) 2^-n = 2^-30 there
+    cases = [(p, r, rational_field(p)) for p in (2, 3, 5, 7) for r in (1, 2, 3)]
+    for p, r, model in cases + [(2, 1, ELL_A)]:
+        a = pole_analysis(p, r).abscissa
+        with mpmath.workprec(200):
+            radius = mpmath.mpf(model.q) ** (-mpmath.mpf(a.numerator) / a.denominator)
+            series = holomorphic_factor_series(model, p, r, 30)
+            coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in series.coeffs]
+            assert max(abs(c) * radius**n for n, c in enumerate(coeffs)) == 1
+            for point in (radius / 2, radius / 2 * mpmath.expjpi(mpmath.mpf(2) / 3)):
+                via_series = mpmath.polyval(coeffs[::-1], point)
+                via_product = holomorphic_factor_value(model, p, r, point, 30)
+                assert abs(via_series - via_product) < mpmath.mpf(2) ** -30, (p, r)
 
 
 def test_pole_analysis_examples():

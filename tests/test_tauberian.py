@@ -124,7 +124,6 @@ def test_zeta_factor_poles_match_principal_parts():
         case = (model.q, p, r)
         assert direct.pole_order == reference.pole_order, case
         assert direct.root_count == reference.root_count, case
-        assert direct.radius_exact == reference.radius_exact, case
         with mpmath.workprec(200):
             assert abs(direct.radius / reference.radius - 1) < tol, case
             assert direct.principal_coeffs.keys() == reference.principal_coeffs.keys()
