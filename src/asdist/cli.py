@@ -7,8 +7,9 @@ three formats: human-readable text (default), TSV, or JSON with a fixed schema
 `--order` or `--bound`; `constant` derives its Euler-product cutoff from the
 tail bound and reports it in `meta.degree_cutoff`, beside its working
 precision.  A field beyond F_q(x) is given by its invariants,
-`--genus/--l-poly/--clp-order`.  Exit codes: 0 success, 1 compare mismatch,
-2 invalid input, 3 internal consistency failure.  Invalid input includes a
+`--genus/--l-poly/--clp-order`.  Exit codes: 0 success, 1 compare mismatch
+or stdout closed before the output was written (as by `| head`), 2 invalid
+input, 3 internal consistency failure.  Invalid input includes a
 `q` that is not a power of `p` (for every command), an `--l-poly` entry
 that is not an integer, an `--r` above 64, a `--p` above 128, a `--bound`
 or a `conductor --module` degree above the `--order` ceiling, and `poles
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 from collections.abc import Iterator
 from dataclasses import asdict
@@ -345,12 +347,22 @@ def run() -> None:
     (4,300), so the limit is lifted when no argument is longer than it: an
     integer in argv still has to fit the limit.  `main` itself stays free of
     these process-wide effects, so it can be called in-process any number of
-    times."""
+    times.  A reader that closes stdout early (`| head`) ends the command
+    with exit code 1 and no traceback, as in the SIGPIPE note of the Python
+    documentation."""
     gc.freeze()
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     if limit and all(len(arg) <= limit for arg in sys.argv[1:]):
         sys.set_int_max_str_digits(0)
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: point it at
+        # /dev/null so that flush does not raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

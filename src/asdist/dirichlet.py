@@ -2,8 +2,11 @@
 
 All Dirichlet series live as truncated power series in t = q^{-s}; the
 meromorphic zeta factor is kept as an exact rational function in t so its
-poles are available exactly.  A term N^{u - v s} of a prime of degree d
-contributes q^{d u} t^{d v}; `prime_term` owns that mapping for the exact
+poles are available exactly.  The paper's local factor is written once,
+by `local_monomials`, as its monomials g_l = N^{(l-1) i} u^l, u = N^{-s}:
+the exact Euler factor, the zeta factor's binomials and numerator, and the
+holomorphic factor all read them.  A term N^{u - v s} of a prime of degree
+d contributes q^{d u} t^{d v}; `prime_term` owns that mapping for the exact
 series, and `holomorphic_factor_value` forms the holomorphic factor's
 monomials in floating point.
 """
@@ -66,17 +69,25 @@ class RationalFunctionT:
 # ---------------------------------------------------------------------------
 # Euler products
 
+def local_monomials(p: int, i: int) -> list:
+    """The monomials g_l = N^k u^l, k = (l - 1) i, of the paper's local
+    factor F_i(u) = 1 + (N^i - 1) sum_{p not | n} N^{i r_n} u^{n+1} of the
+    i-th component, as (k, l) for l = 1..p, with u = N^{-s}:
+    - F_i = (1 - g_1)(1 + g_1 + ... + g_(p-1)) / (1 - g_p), since r_n grows
+      by p - 1 every p steps;
+    - the zeta factors zeta(l s - (l-1) i) take out g_2..g_p, which leaves
+      the holomorphic factor's local factor (1 + sum_(l<p) g_l)
+      prod_(l<p) (1 - g_l);
+    - consecutive monomials differ by N^i u."""
+    return [((l - 1) * i, l) for l in range(1, p + 1)]
+
+
 def _euler_factor_component(q: int, d: int, i: int, p: int) -> tuple:
-    """(A, B): the paper's local factor 1 + (N^i - 1) sum_{p not | n}
-    N^{i r_n - (n+1) s} of the i-th component as A/B, each as the (t-power,
-    coefficient) monomials past its constant 1.  With u = N^{-s}, r_n grows
-    by p - 1 every p steps, so B = 1 - N^{i(p-1)} u^p and
-    A = 1 + (N^i - 1) sum_{s=0}^{p-3} N^{is} u^{s+2} - N^{i(p-2)} u^p."""
-    n_i = q ** (d * i)
-    a = [(w, (n_i - 1 if s < p - 2 else -1) * c)
-         for s in range(p - 1) for w, c in [prime_term(q, d, i * s, s + 2)]]
-    w, c = prime_term(q, d, i * (p - 1), p)
-    return a, [(w, -c)]
+    """The local factor of the i-th component at a prime of degree d, as the
+    three (t-power, coefficient) monomial lists past their constant 1, each
+    with its exponent, of (1 - g_1)(1 + sum_(l<p) g_l) / (1 - g_p)."""
+    g = [prime_term(q, d, k, l) for k, l in local_monomials(p, i)]
+    return ([(g[0][0], -g[0][1])], 1), (g[:-1], 1), ([(g[-1][0], -g[-1][1])], -1)
 
 
 def euler_component_series(
@@ -85,12 +96,12 @@ def euler_component_series(
     """The i-th Euler product component of the conductor series (1 <= i <= r)."""
     if not 1 <= i <= group.r:
         raise ModelError(f"component index {i} out of range 1..{group.r}")
-    # A^b_d and B^-b_d for each degree with 2d <= order; a generator, so
-    # euler_product holds one prime's A and B at a time
+    # each local factor to the power b_d, for each degree with 2d <= order;
+    # a generator, so euler_product holds one prime's factors at a time
     factors = (
-        (f, sign * b_d)
+        (f, e * b_d)
         for d, b_d in enumerate(model.place_counts(order // 2), start=1)
-        for f, sign in zip(_euler_factor_component(model.q, d, i, model.p), (1, -1))
+        for f, e in _euler_factor_component(model.q, d, i, model.p)
     )
     return TruncatedSeries(euler_product(factors, order))
 
@@ -151,9 +162,10 @@ def conductor_series(model: FieldModel, group: GroupSpec, order: int) -> Truncat
 
 def zeta_factor_binomials(p: int, r: int) -> list:
     """The binomials 1 - q^e t^l of the denominator of the meromorphic
-    factor, as (l, e) pairs: zeta(l s - (l-1) r) is
-    L(c t^l) / ((1 - c t^l)(1 - q c t^l)) with c = q^((l-1) r)."""
-    return [(l, (l - 1) * r + k) for l in range(2, p + 1) for k in (0, 1)]
+    factor, as (l, e) pairs: the zeta factor of the monomial N^k u^l of
+    `local_monomials`, l >= 2, is L(c t^l) / ((1 - c t^l)(1 - q c t^l))
+    with c = q^k."""
+    return [(l, k + c) for k, l in local_monomials(p, r)[1:] for c in (0, 1)]
 
 
 def critical_poles(p: int, r: int) -> tuple:
@@ -179,8 +191,8 @@ def zeta_factor_rational(model: FieldModel, p: int, r: int) -> RationalFunctionT
     """The meromorphic factor prod_{l=2}^p zeta(l s - (l-1) r) as an exact
     rational function in t."""
     num = [1]
-    for l in range(2, p + 1):
-        num = poly_mul(num, subst_monomial(model.l_poly, model.q ** ((l - 1) * r), l))
+    for k, l in local_monomials(p, r)[1:]:
+        num = poly_mul(num, subst_monomial(model.l_poly, model.q**k, l))
     den = [1]
     for l, e in zeta_factor_binomials(p, r):
         den = poly_mul(den, [1] + [0] * (l - 1) + [-model.q**e])
@@ -190,8 +202,10 @@ def zeta_factor_rational(model: FieldModel, p: int, r: int) -> RationalFunctionT
 def holomorphic_factor_value(model: FieldModel, p: int, r: int, point, degree_cutoff: int):
     """Numeric value of the holomorphic factor at a point inside its region
     of convergence, via the Euler product over primes of degree <= cutoff.
-    A prime of degree d contributes (1 + sum m_l) * prod (1 - m_l) with the
-    monomials m_l = N^(l r) t^(d (l + 1)), N = q^d, l = 0..p-2."""
+    A prime of degree d contributes (1 + sum g_l) * prod (1 - g_l) over the
+    monomials g_1..g_(p-1) of `local_monomials` at i = r, N = q^d, u = t^d:
+    g_1 = t^d, and each next one is the last times their common ratio
+    N^r u = q^(d r) t^d."""
     if degree_cutoff < 1:
         raise ValueError("degree cutoff must be >= 1")
     counts = model.place_counts(degree_cutoff)
@@ -202,8 +216,8 @@ def holomorphic_factor_value(model: FieldModel, p: int, r: int, point, degree_cu
         z_d, total = 1, mpmath.mpf(1)
         for d, b_d in enumerate(counts, start=1):
             z_d *= z
-            # m_(l+1) = m_l * q^(d r) t^d in floats: the exact N^(l r) runs
-            # to tens of thousands of digits at large p
+            # g_(l+1) = g_l * q^(d r) t^d in floats: the exact N^((l-1) r)
+            # runs to tens of thousands of digits at large p
             step, monomials = model.q ** (d * r) * z_d, [z_d]
             for _ in range(p - 2):
                 monomials.append(monomials[-1] * step)

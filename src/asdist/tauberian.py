@@ -28,6 +28,7 @@ from .dirichlet import (
     holomorphic_factor_at_abscissa,
     holomorphic_factor_cutoff,
     holomorphic_factor_value,
+    local_monomials,
     pole_analysis,
     zeta_factor_binomials,
 )
@@ -181,8 +182,9 @@ def zeta_factor_poles(model: FieldModel, p: int, r: int, correction) -> Meromorp
     1 - q^e t^l ~ -(l / z_j)(t - z_j), so the principal coefficient
     lim (t - z)^b f(t) of z = z_j is (-z)^b N(z) / (prod_vanishing l *
     prod_other (1 - q^e z^l)) times correction(z), with the numerator
-    N(t) = prod_l L(q^((l-1) r) t^l).  N has no zero on the circle when L
-    satisfies the Riemann hypothesis.
+    N(t) = prod L(q^k t^l) over the monomials N^k u^l, l >= 2, of
+    `local_monomials`.  N has no zero on the circle when L satisfies the
+    Riemann hypothesis.
     """
     a, ell, vanishing = critical_poles(p, r)
     q, binomials = model.q, zeta_factor_binomials(p, r)
@@ -196,8 +198,8 @@ def zeta_factor_poles(model: FieldModel, p: int, r: int, correction) -> Meromorp
                 continue
             z = radius * mpmath.expjpi(mpmath.mpf(-2 * j) / ell)
             numer = mpmath.mpf(1)
-            for l in range(2, p + 1):
-                numer *= mpmath.polyval(l_coeffs, q ** ((l - 1) * r) * z**l)
+            for k, l in local_monomials(p, r)[1:]:
+                numer *= mpmath.polyval(l_coeffs, q**k * z**l)
             if abs(numer) < mpmath.mpf(2) ** (-PREC_BITS // 2):
                 raise PrecisionError(
                     f"the zeta factor's numerator vanishes at the pole {z}"

@@ -84,8 +84,8 @@ one:
   test_holomorphic_factor_p2_is_inverse_zeta, test_factorization_identity
   and test_holomorphic_factor_value_matches_series.
 - `euler_factor_direct_sum` (`dirichlet._euler_factor_component` before
-  it became the quotient A/B): `euler_factor_closed_form_check`, and
-  test_dirichlet's test_euler_factor_is_the_quotient_a_over_b.
+  it became a closed-form quotient): `euler_factor_closed_form_check`, and
+  test_dirichlet's test_euler_factor_is_the_geometric_quotient.
 - `euler_factor_closed_form_check`: test_acceptance's
   test_criterion_3_factorization_identity and test_dirichlet's
   test_euler_factor_closed_form_examples.

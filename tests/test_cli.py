@@ -296,20 +296,43 @@ def test_genus2_exceptional_module_needs_its_count_under_any_label(capsys):
         assert "missing exceptional conductor count" in err
 
 
+def _cli_env() -> dict:
+    """The environment of a child `python -m asdist.cli`: this checkout's
+    package first on its PYTHONPATH."""
+    src = str(Path(asdist.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def _cli_process(*argv, timeout, address_space=None):
     """`python -m asdist.cli argv` as a child process, killed after
     `timeout` seconds, its address space capped at `address_space` bytes."""
-    src = str(Path(asdist.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
 
     def cap():
         import resource
         resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
     return subprocess.run([sys.executable, "-m", "asdist.cli", *argv],
-                          env={**os.environ, "PYTHONPATH": path},
+                          env=_cli_env(),
                           capture_output=True, text=True, timeout=timeout,
                           preexec_fn=cap if address_space else None)
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # the JSON is 327,110 bytes, far past a pipe's buffer, so the child is
+    # still writing when its reader closes the pipe (as `| head -c 100`
+    # does); it once ended in a BrokenPipeError traceback
+    proc = subprocess.Popen([sys.executable, "-m", "asdist.cli", "poles",
+                             "--q", "11", "--p", "11", "--format", "json"],
+                            env=_cli_env(), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    try:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=30)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (1, "")
 
 
 def test_genus2_series_without_counts_exits_2_at_once():

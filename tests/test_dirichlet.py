@@ -31,6 +31,7 @@ from asdist import (
 from asdist import dirichlet
 from asdist.dirichlet import (
     RationalFunctionT, _euler_factor_component, poly_mul, prime_term,
+    zeta_factor_binomials,
 )
 from asdist.series import euler_product
 from reference_impl import (
@@ -133,7 +134,7 @@ def test_conductor_series_at_the_order_ceiling():
 
 
 def test_conductor_series_holds_one_euler_factor_at_a_time(monkeypatch):
-    # q = 2, C_2 to order 320 has 160 Euler factors A/B; they arrive as a
+    # q = 2, C_2 to order 320 has 160 local factors; they arrive as a
     # generator, so one prime's monomials are alive at a time and the peak
     # is the kernel's few lists of order + 1 coefficients
     conductor_series(Q2, C2, 320)
@@ -247,16 +248,28 @@ def test_factorization_identity(p, r, q):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_euler_factor_is_the_quotient_a_over_b(p):
+def test_euler_factor_is_the_geometric_quotient(p):
     for q, i, d in product((p, p * p), (1, 2, 3), (1, 2, 3)):
         order = 4 * p * d
-        a, b = _euler_factor_component(q, d, i, p)
-        # A has p terms and B two, their constant 1 included
-        assert len(a) == p - 1 and len(b) == 1
-        assert all(c for _, c in a + b) and a[-1][0] == b[0][0] == p * d
-        assert [k for k, _ in a] == sorted(k for k, _ in a)
-        quotient = euler_product([(a, 1), (b, -1)], order)
+        factors = _euler_factor_component(q, d, i, p)
+        # (1 - g_1)(1 + g_1 + ... + g_(p-1)) / (1 - g_p), g_l at t^(l d)
+        (first, e1), (middle, e2), (last, e3) = factors
+        assert (e1, e2, e3) == (1, 1, -1)
+        assert len(first) == len(last) == 1 and len(middle) == p - 1
+        assert all(c for _, c in first + middle + last)
+        assert first[0][0] == d and last[0][0] == p * d
+        assert [k for k, _ in middle] == [l * d for l in range(1, p)]
+        quotient = euler_product(factors, order)
         assert quotient == euler_factor_direct_sum(q, d, i, p, order)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_zeta_factor_binomials_are_the_papers_zeta_factors(p):
+    # zeta(l s - (l-1) r) = Z(q^((l-1) r) t^l) for l = 2..p, and Z(c t^l)
+    # has the denominator (1 - c t^l)(1 - q c t^l)
+    for r in range(1, 5):
+        expected = [(l, (l - 1) * r + c) for l in range(2, p + 1) for c in (0, 1)]
+        assert zeta_factor_binomials(p, r) == expected
 
 
 def test_euler_factor_closed_form_examples():
