@@ -31,16 +31,19 @@ blocks in a class, not with the tables.  It yields each partial class once
 with its conductor as ((place index, top j + 1), ...); the partial class
 stands for p classes, one per constant (p - 1 for the empty one, which
 leaves out zero).
-Both census paths read the conductor off the walk: for r = 1 the census
-adds p (or p - 1) to that conductor's entry, and for r >= 2 it keeps one
-coordinate vector per class whose pivot coefficient is 1 (below).  No list
-of classes exists: at (q, p, r, bound) = (3, 3, 1, 8) the walk stands for
-37,178 classes, and the census peaks at 0.17 MB (tracemalloc).  The place
-list (each place's polynomial, its Place and its block table) is built once
-per census, by a trial-division search over every monic polynomial of
-degree <= bound // 2, and the number of places it finds of each degree d
-must be b_d of Gauss's formula (FieldModel.place_counts), infinity being
-one of b_1, or the census raises ConsistencyError.
+Both census paths read the conductor off the walk: for r = 1 one Counter
+tallies the conductors, each partial class counting p classes (p - 1 for
+the empty one), and for r >= 2 the census keeps one coordinate vector per
+class whose pivot coefficient is 1 (below).  No list of classes exists: at
+(q, p, r, bound) = (3, 3, 1, 8) the walk stands for 37,178 classes, and
+the census peaks at 0.17 MB (tracemalloc).  The place list (each place's
+polynomial, its Place and its block table) is built once per census by a
+sieve over the monic polynomials of degree <= bound // 2,
+irreducibles_up_to, whose first irreducible of degree k over F_p is also
+F_q's modulus, so the field only adds and multiplies.  The number of
+places it finds of each degree d must be b_d of Gauss's formula
+(FieldModel.place_counts), infinity being one of b_1, or the census raises
+ConsistencyError.
 
 The budget is checked once, before the census builds F_q, the places or
 the tables, against the exact number of nonzero classes of conductor
@@ -116,15 +119,10 @@ class GF:
 
     # -- modulus: the first monic irreducible of degree k over F_p ---------
     def _find_modulus(self):
-        if self.k == 1:
+        if self.k == 1:  # F_p, over which the search below runs
             return (0, 1)
-        # a reducible candidate has a factor of degree <= k / 2; the first
-        # one tried, x, rules out the candidates with constant term zero
-        prime_field = GF(self.p)
-        factors = irreducibles_up_to(prime_field, self.k // 2)
         poly = next(
-            f for f in monic_polys(prime_field, self.k)
-            if all(poly_mod(f, g, prime_field) for g in factors)
+            f for f in irreducibles_up_to(GF(self.p), self.k) if len(f) == self.k + 1
         )
         return tuple(c[0] for c in poly)
 
@@ -132,6 +130,9 @@ class GF:
     def elements(self):
         for tup in itertools.product(range(self.p), repeat=self.k):
             yield tup
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
 
     def sub(self, a, b):
         return tuple((x - y) % self.p for x, y in zip(a, b))
@@ -169,11 +170,6 @@ class GF:
             e >>= 1
         return result
 
-    def inv(self, a):
-        if a == self.zero:
-            raise ZeroDivisionError("inverse of zero")
-        return self.pow(a, self.q - 2)
-
 
 # ---------------------------------------------------------------------------
 # polynomials over GF: trimmed ascending tuples of elements; zero is ()
@@ -185,26 +181,14 @@ def poly_trim(poly, gf):
     return tuple(poly)
 
 
-def poly_divmod(a, b, gf):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    inv_lead = gf.inv(b[-1])
-    if len(rem) < len(b):
-        return (), poly_trim(rem, gf)
-    quot = [gf.zero] * (len(rem) - len(b) + 1)
-    for i in range(len(rem) - len(b), -1, -1):
-        c = gf.mul(rem[i + len(b) - 1], inv_lead)
-        if c == gf.zero:
-            continue
-        quot[i] = c
-        for j, bj in enumerate(b):
-            rem[i + j] = gf.sub(rem[i + j], gf.mul(c, bj))
-    return poly_trim(quot, gf), poly_trim(rem, gf)
-
-
-def poly_mod(a, b, gf):
-    return poly_divmod(a, b, gf)[1]
+def poly_mul(a, b, gf):
+    """The product of two nonzero polynomials over GF."""
+    out = [gf.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x != gf.zero:
+            for j, y in enumerate(b):
+                out[i + j] = gf.add(out[i + j], gf.mul(x, y))
+    return tuple(out)
 
 
 def monic_polys(gf, degree: int):
@@ -213,17 +197,18 @@ def monic_polys(gf, degree: int):
 
 
 def irreducibles_up_to(gf, max_degree: int) -> list:
-    """Monic irreducible polynomials of degree 1..max_degree, by trial
-    division against the smaller ones."""
+    """Monic irreducible polynomials of degree 1..max_degree, by degree and
+    then in monic_polys order, by a sieve: a reducible monic polynomial of
+    degree d is f g with f irreducible of degree e <= d / 2 and g monic of
+    degree d - e."""
     found: list = []
     for d in range(1, max_degree + 1):
-        for cand in monic_polys(gf, d):
-            if any(
-                len(p) - 1 <= d // 2 and not poly_mod(cand, p, gf)
-                for p in found
-            ):
-                continue
-            found.append(cand)
+        reducible = {
+            poly_mul(f, g, gf)
+            for f in found if 2 * (len(f) - 1) <= d
+            for g in monic_polys(gf, d - len(f) + 1)
+        }
+        found += [f for f in monic_polys(gf, d) if f not in reducible]
     return found
 
 
@@ -496,9 +481,10 @@ def oracle_counts(
     if r > 1:
         return _subspace_census(partials, places, r, bound, budget)
     # a partial class stands for p classes, or p - 1 for the empty one
-    tally: dict = {}
-    for _, _, cond in partials:
-        tally[cond] = tally.get(cond, 0) + (p if cond else p - 1)
+    tally = {
+        cond: n * (p if cond else p - 1)
+        for cond, n in collections.Counter(cond for _, _, cond in partials).items()
+    }
     if any(count % (p - 1) for count in tally.values()):
         raise ConsistencyError(
             "class orbits did not split evenly; enumeration is inconsistent"

@@ -16,9 +16,15 @@ one:
   test_scaling_preserves_conductor,
   test_enumerate_classes_below_degree_two_places and
   test_enumerate_classes_matches_exhaustive_rationals.
-- `gf_add`, `pth_root`, `wp_image` and `coset_rep` (from `GF`):
+- `gf_inv`, `pth_root`, `wp_image` and `coset_rep` (from `GF`):
   `normalize_rational`, and test_oracle's test_field_axioms_exhaustive,
   test_frobenius_and_pth_root and test_wp_cosets.
+- `poly_divmod` and `poly_mod` (from `asdist.oracle`, which no longer
+  divides): `normalize_rational` and `irreducibles_by_trial_division`.
+- `irreducibles_by_trial_division` (`asdist.oracle.irreducibles_up_to`
+  before it became a sieve): test_oracle's
+  test_irreducibles_match_trial_division and
+  test_modulus_is_the_first_irreducible_of_the_reference.
 - `rep_conductor` (`ASRep.conductor`): test_oracle's
   test_rep_conductor_examples, test_scaling_preserves_conductor,
   test_enumerate_classes_matches_exhaustive_rationals,
@@ -28,7 +34,8 @@ one:
   test_oracle's test_census_matches_span_definition and
   test_add_and_scale_group_laws; `scale_rep` also
   test_scaling_preserves_conductor.
-- `poly_add`, `poly_neg` and `poly_mul`: test_oracle's
+- `poly_add`, `poly_neg` and `poly_mul` (`asdist.oracle.poly_mul`, here
+  also for the zero polynomial): test_oracle's
   test_normalization_invariant_under_wp_shift and
   test_normalization_idempotent_via_reconstruction; `poly_mul` also
   test_enumerate_classes_below_degree_two_places and
@@ -118,9 +125,8 @@ import mpmath
 from asdist.counting import DivisorModule, Place, abstract_places, wild_exponent
 from asdist.dirichlet import RationalFunctionT, prime_term
 from asdist.field import FieldModel
-from asdist.oracle import (
-    ASRep, _place_key, irreducibles_up_to, poly_divmod, poly_mod, poly_trim,
-)
+from asdist.oracle import ASRep, _place_key, irreducibles_up_to, monic_polys, poly_trim
+from asdist.oracle import poly_mul as oracle_poly_mul
 from asdist.series import Scalar, TruncatedSeries, euler_product, subst_monomial
 from asdist.series import mul as series_mul
 from asdist.tauberian import (
@@ -134,8 +140,10 @@ from asdist.tauberian import (
 # ---------------------------------------------------------------------------
 # the constant field GF (from asdist.oracle)
 
-def gf_add(gf, a, b):
-    return tuple((x + y) % gf.p for x, y in zip(a, b))
+def gf_inv(gf, a):
+    if a == gf.zero:
+        raise ZeroDivisionError("inverse of zero")
+    return gf.pow(a, gf.q - 2)
 
 
 def pth_root(gf, a):
@@ -159,7 +167,7 @@ def poly_add(a, b, gf):
         a, b = b, a
     out = list(a)
     for i, c in enumerate(b):
-        out[i] = gf_add(gf, out[i], c)
+        out[i] = gf.add(out[i], c)
     return poly_trim(out, gf)
 
 
@@ -174,15 +182,44 @@ def poly_scale(a, c, gf):
 
 
 def poly_mul(a, b, gf):
-    if not a or not b:
-        return ()
-    out = [gf.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x != gf.zero:
-            for j, y in enumerate(b):
-                if y != gf.zero:
-                    out[i + j] = gf_add(gf, out[i + j], gf.mul(x, y))
-    return poly_trim(out, gf)
+    return oracle_poly_mul(a, b, gf) if a and b else ()
+
+
+def poly_divmod(a, b, gf):
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a)
+    inv_lead = gf_inv(gf, b[-1])
+    if len(rem) < len(b):
+        return (), poly_trim(rem, gf)
+    quot = [gf.zero] * (len(rem) - len(b) + 1)
+    for i in range(len(rem) - len(b), -1, -1):
+        c = gf.mul(rem[i + len(b) - 1], inv_lead)
+        if c == gf.zero:
+            continue
+        quot[i] = c
+        for j, bj in enumerate(b):
+            rem[i + j] = gf.sub(rem[i + j], gf.mul(c, bj))
+    return poly_trim(quot, gf), poly_trim(rem, gf)
+
+
+def poly_mod(a, b, gf):
+    return poly_divmod(a, b, gf)[1]
+
+
+def irreducibles_by_trial_division(gf, max_degree: int) -> list:
+    """Monic irreducible polynomials of degree 1..max_degree, by trial
+    division against the smaller ones."""
+    found: list = []
+    for d in range(1, max_degree + 1):
+        for cand in monic_polys(gf, d):
+            if any(
+                len(p) - 1 <= d // 2 and not poly_mod(cand, p, gf)
+                for p in found
+            ):
+                continue
+            found.append(cand)
+    return found
 
 
 def poly_pow_mod(a, e: int, m, gf):
@@ -206,7 +243,7 @@ def poly_inv_mod(a, m, gf):
         s0, s1 = s1, poly_add(s0, poly_neg(poly_mul(q, s1, gf), gf), gf)
     if len(r0) != 1:
         raise ZeroDivisionError("element not invertible modulo m")
-    return poly_scale(s0, gf.inv(r0[0]), gf)
+    return poly_scale(s0, gf_inv(gf, r0[0]), gf)
 
 
 def residue_pth_root(c, modulus, gf):
@@ -237,10 +274,10 @@ def rep_conductor(rep: ASRep) -> DivisorModule:
 
 
 def add_reps(a: ASRep, b: ASRep, gf) -> ASRep:
-    constant = gf_add(gf, a.constant, b.constant)
+    constant = gf.add(a.constant, b.constant)
     inf = dict(a.infinity)
     for j, c in b.infinity:
-        s = gf_add(gf, inf.get(j, gf.zero), c)
+        s = gf.add(inf.get(j, gf.zero), c)
         if s == gf.zero:
             inf.pop(j, None)
         else:
@@ -288,7 +325,7 @@ def normalize_rational(gf, num, den) -> ASRep:
         raise ZeroDivisionError("zero denominator")
     lead = den[-1]
     if lead != gf.one:
-        inv = gf.inv(lead)
+        inv = gf_inv(gf, lead)
         den = poly_scale(den, inv, gf)
         num = poly_scale(num, inv, gf)
     quot, rem = poly_divmod(num, den, gf)
@@ -339,7 +376,7 @@ def normalize_rational(gf, num, den) -> ASRep:
             break
         root = pth_root(gf, poly_part[top])
         poly_part[top] = gf.zero
-        poly_part[top // gf.p] = gf_add(gf, poly_part[top // gf.p], root)
+        poly_part[top // gf.p] = gf.add(poly_part[top // gf.p], root)
     inf = {
         j: c for j, c in enumerate(poly_part) if j >= 1 and c != gf.zero
     }

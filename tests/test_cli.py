@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import asdist
+import asdist.cli
+import asdist.oracle
 import asdist.tauberian
 from asdist import DivisorModule, Place, PrecisionError, UnsupportedInputError
 from asdist.cli import main, parse_module
@@ -215,6 +217,33 @@ def test_oracle_and_compare(capsys):
                        "--bound", "6")
     assert code == 0
     assert out.strip() == "match 4/4 degrees"
+
+
+def test_compare_checks_each_module(capsys, monkeypatch):
+    # moving one extension between two modules of one degree leaves every
+    # degree's total right; only the per-module check sees it
+    counts = asdist.oracle.oracle_counts(2, 2, 1, 6)
+    source, target = [m for m in counts if m.degree == 6][:2]
+
+    def shifted(*args):
+        moved = dict(counts)
+        moved[source] -= 1
+        moved[target] += 1
+        return moved
+
+    monkeypatch.setattr(asdist.cli, "oracle_counts", shifted)
+    code, out, _ = run(capsys, "compare", "--q", "2", "--p", "2", "--bound", "6")
+    assert code == 1
+    assert out.splitlines() == [
+        f"MISMATCH at module {source}: formula {counts[source]} vs oracle "
+        f"{counts[source] - 1}",
+        f"MISMATCH at module {target}: formula {counts[target]} vs oracle "
+        f"{counts[target] + 1}",
+    ]
+    code, out, _ = run(capsys, "compare", "--q", "2", "--p", "2", "--bound", "6",
+                       "--format", "json")
+    assert code == 1
+    assert json.loads(out)["meta"]["mismatches"] == 2
 
 
 def test_disc_command(capsys):

@@ -56,8 +56,8 @@ def test_every_top_level_definition_is_used_by_the_library():
 
     The match is by name only, so a name that several modules use for
     different things can hide an unused definition: dirichlet imports
-    series.mul as poly_mul, the name a polynomial product over GF once had
-    in oracle."""
+    series.mul as poly_mul, the name of oracle's polynomial product over
+    GF."""
     statements = _statements()
     used = [_names(node) for _, node in statements]
     unused = [
@@ -79,9 +79,9 @@ def test_every_method_is_used_by_the_library():
     The rule cannot see operators: `a * b` calls __mul__ without naming it,
     so dunders are not checked.  Nor can it tell whose attribute a name is,
     so an unused method hides behind any attribute of the same name:
-    `gf.one` would keep a `TruncatedSeries.one`, and `gf.pow`, `gf.inv` and
-    `gf.mul` keep the traced `TruncatedSeries` methods of those names even
-    once the benchmark stops tracing them."""
+    `gf.one` would keep a `TruncatedSeries.one`, and `gf.pow` and `gf.mul`
+    keep the traced `TruncatedSeries` methods of those names even once the
+    benchmark stops tracing them."""
     statements = _statements()
     total = sum((_attributes(node) for _, node in statements), Counter())
     unused = [

@@ -35,7 +35,8 @@ from asdist.oracle import (
 from reference_impl import (
     add_reps,
     coset_rep,
-    gf_add,
+    gf_inv,
+    irreducibles_by_trial_division,
     normalize_rational,
     poly_add,
     poly_mul,
@@ -70,20 +71,20 @@ def test_field_axioms_exhaustive(p, k):
     assert len(elems) == p**k
     for a, b in itertools.product(elems, repeat=2):
         assert gf.mul(a, b) == gf.mul(b, a)
-        assert gf_add(gf, a, b) == gf_add(gf, b, a)
+        assert gf.add(a, b) == gf.add(b, a)
     for a, b, c in itertools.product(elems[:5], repeat=3):
         assert gf.mul(a, gf.mul(b, c)) == gf.mul(gf.mul(a, b), c)
-        assert gf.mul(a, gf_add(gf, b, c)) == gf_add(gf, gf.mul(a, b), gf.mul(a, c))
+        assert gf.mul(a, gf.add(b, c)) == gf.add(gf.mul(a, b), gf.mul(a, c))
     for a in elems:
         if a != gf.zero:
-            assert gf.mul(a, gf.inv(a)) == gf.one
+            assert gf.mul(a, gf_inv(gf, a)) == gf.one
 
 
 @pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (5, 1)])
 def test_frobenius_and_pth_root(p, k):
     gf = GF(p, k)
     for a, b in itertools.product(gf.elements(), repeat=2):
-        assert gf.pow(gf_add(gf, a, b), p) == gf_add(gf, gf.pow(a, p), gf.pow(b, p))
+        assert gf.pow(gf.add(a, b), p) == gf.add(gf.pow(a, p), gf.pow(b, p))
     images = {gf.pow(a, p) for a in gf.elements()}
     assert len(images) == p**k  # Frobenius is bijective
     for a in gf.elements():
@@ -139,6 +140,24 @@ def test_irreducible_counts_match_place_counts(q, p, k):
 def test_modulus_is_the_first_monic_irreducible(p, k, modulus):
     # the modulus fixes how field elements, and so place labels, are written
     assert GF(p, k).modulus == modulus
+
+
+@pytest.mark.parametrize("p,k,degree", [
+    (2, 1, 12), (3, 1, 7), (2, 2, 6), (5, 1, 5), (3, 2, 4), (2, 3, 4), (7, 1, 4),
+])
+def test_irreducibles_match_trial_division(p, k, degree):
+    # the sieve must find the same places, in the same order, as dividing
+    # each monic polynomial by the irreducibles of at most half its degree
+    gf = GF(p, k)
+    assert irreducibles_up_to(gf, degree) == irreducibles_by_trial_division(gf, degree)
+
+
+@pytest.mark.parametrize("p,max_k", [(2, 11), (3, 7), (5, 4), (7, 3), (11, 3), (13, 2)])
+def test_modulus_is_the_first_irreducible_of_the_reference(p, max_k):
+    reference = irreducibles_by_trial_division(GF(p), max_k)
+    for k in range(1, max_k + 1):
+        first = next(f for f in reference if len(f) == k + 1)
+        assert GF(p, k).modulus == tuple(c[0] for c in first)
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +445,8 @@ def test_walk_budget_counts_classes():
 
 
 def test_place_search_is_within_the_budget():
-    # (2, 2, 1, 26) would search all 16,382 monic polynomials of degree
-    # <= 13 by trial division, which takes seconds, before its first class
+    # (2, 2, 1, 26) would sieve all 16,382 monic polynomials of degree
+    # <= 13, which takes most of a second, before its first class
     start = time.monotonic()
     with pytest.raises(BudgetExceededError, match="place search"):
         oracle_counts(2, 2, 1, 26, budget=1000)
